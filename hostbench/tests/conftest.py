@@ -1,0 +1,9 @@
+"""Make the benchmark's modules and the program importable the way
+``hostbench/run.py`` does: ``python -m pytest hostbench/tests``."""
+
+import os
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.dirname(HERE)
+sys.path[:0] = [os.path.join(os.path.dirname(BENCH), "src"), BENCH]
