@@ -676,6 +676,8 @@ def wallclock_process(
         stats = dict(backend_mod.LAST_RUN_STATS)
         hits = stats.get("plan_hits", 0)
         misses = stats.get("plan_misses", 0)
+        rounds = stats.get("rounds", 0)
+        trips = sum(stats.get("roundtrips", {}).values())
         rows.append(
             {
                 "workload": name,
@@ -686,6 +688,7 @@ def wallclock_process(
                     hits / (hits + misses) if hits + misses else 0.0
                 ),
                 "merge_bytes_avoided": stats.get("bytes_avoided", 0),
+                "roundtrips_per_round": trips / rounds if rounds else 0.0,
             }
         )
         notes.append(f"{name}: {note}")
@@ -699,6 +702,7 @@ def wallclock_process(
             "speedup",
             "plan_hit_rate",
             "merge_bytes_avoided",
+            "roundtrips_per_round",
         ],
         rows=rows,
         notes=(
@@ -712,7 +716,9 @@ def wallclock_process(
             "acceptance figure lives in BENCH_wallclock.json "
             "(process_backend.baseline). "
             "plan_hit_rate / merge_bytes_avoided are the zero-merge "
-            "statistics of each workload's final process run. "
+            "statistics of each workload's final process run; "
+            "roundtrips_per_round is that run's pool round trips (every "
+            "command tag, do_start to do_end) per phase round. "
             + " | ".join(notes)
         ),
     )

@@ -22,6 +22,7 @@ import inspect
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -619,6 +620,12 @@ class PpmRuntime:
                     if backend is not None:
                         backend.begin_round("global", active_nodes, vps_by_node)
                     self._run_global_phase(vps_by_node, active_nodes)
+            if backend is not None:
+                backend.flush()
+        except Exception as exc:
+            if backend is not None:
+                backend.abandon(exc)
+            raise
         finally:
             if backend is not None:
                 backend.end_do()
@@ -898,14 +905,30 @@ class PpmRuntime:
                 )
             )
         n_contrib = recorder.resolve_collectives()
-        if self._backend is not None:
+        args = (recorder, phase_index, certified, n_contrib, len(body_vps), res, tr)
+        if self._backend is None:
+            self._account_global_phase(*args)
+        else:
             # Ship resolved reduce/scan values back with the next round
-            # so worker-held handles resolve before VP code reads them.
+            # so worker-held handles resolve before VP code reads them;
+            # the accounting may overlap that round's execution.
             self._backend.harvest_collectives(recorder, None)
+            self._backend.account(
+                recorder, partial(self._account_global_phase, *args)
+            )
 
+    def _account_global_phase(
+        self, recorder, phase_index, certified, n_contrib, n_vps, res, tr,
+        traffic=None,
+    ) -> dict:
+        """Second half of a global phase, after its commit: traffic,
+        cost model, clocks, profile and trace events.  ``traffic`` may
+        supply the phase's aggregated traffic (the process backend
+        reuses it for repeated access structures); returns it."""
         cfg = self.config
         net = self.cluster.network
-        traffic = aggregate_traffic(recorder, self.cluster.n_nodes, tracer=tr)
+        if traffic is None:
+            traffic = aggregate_traffic(recorder, self.cluster.n_nodes, tracer=tr)
 
         in_cpu: dict[int, float] = {}
         comm_costs = {}
@@ -1056,12 +1079,13 @@ class PpmRuntime:
             t_end,
             messages=total_msgs,
             nbytes=total_bytes,
-            detail=f"vps={len(body_vps)} collectives={n_contrib}",
+            detail=f"vps={n_vps} collectives={n_contrib}",
         )
         if res is not None:
             # Checkpoint when due (its cost lands between phases), or
             # — while fast-forwarding — resume at the restored cut.
             res.after_commit(phase_index, self)
+        return traffic
 
     # ------------------------------------------------------------------
     def _run_node_phase(self, node_id: int, node_vps: list[_VpRecord]) -> None:
@@ -1119,16 +1143,28 @@ class PpmRuntime:
                 )
             )
         n_contrib = recorder.resolve_collectives()
-        if self._backend is not None:
+        args = (node_id, recorder, phase_index, certified, n_contrib, t0, res, tr)
+        if self._backend is None:
+            self._account_node_phase(*args)
+        else:
             self._backend.harvest_collectives(recorder, node_id)
+            self._backend.account(
+                recorder, partial(self._account_node_phase, *args)
+            )
 
+    def _account_node_phase(
+        self, node_id, recorder, phase_index, certified, n_contrib, t0, res, tr,
+        traffic=None,
+    ) -> dict:
+        """Second half of a node phase (see :meth:`_account_global_phase`)."""
         cfg = self.config
         net = self.cluster.network
         node = self.cluster.node(node_id)
 
         # Global-shared *reads* are permitted in node phases; their
         # fetch traffic is charged here (writes were rejected earlier).
-        traffic = aggregate_traffic(recorder, self.cluster.n_nodes, tracer=tr)
+        if traffic is None:
+            traffic = aggregate_traffic(recorder, self.cluster.n_nodes, tracer=tr)
         nt = traffic.get(node_id)
         if nt is None:
             comm_cost = ZERO_COST
@@ -1246,3 +1282,4 @@ class PpmRuntime:
         )
         if res is not None:
             res.after_commit(phase_index, self)
+        return traffic

@@ -18,8 +18,20 @@ contract trivially auditable:
 
 Shards are contiguous global-rank ranges, one per worker, so
 concatenating worker reports in worker order *is* VP-rank order.
-A phase round costs exactly one command round-trip per worker — node
-phases that are concurrently ready dispatch as a single round.
+Node phases that are concurrently ready dispatch as a single round.
+
+A phase round costs one command round trip per worker.  A certified
+(zero-merge) round's commit decision rides on the *next* round's
+command: the parent pre-swaps the targets and ships the decision, each
+worker applies it before it advances its VPs, and the digests come
+back with the next round's replies.  A standalone ``commit`` trip
+remains only for the last round of a ``do``, rounds with any group
+that must ship its operations, and runs with a resilience manager
+(whose hooks may checkpoint or restore between rounds).  While the
+workers execute round k+1, the parent finishes round k's accounting —
+rec-map absorption, bundling, the cost model, clocks, profile and
+trace events — inside :meth:`WorkerPool.roundtrip`'s ``overlap``
+callback.
 """
 
 from __future__ import annotations
@@ -47,9 +59,11 @@ def default_workers() -> int:
 
 #: Zero-merge / plan-cache statistics of the most recently finished
 #: ``do`` of a process-backend run, published for the wall-clock bench
-#: (``--executor process`` reports plan-cache hit rate and merge bytes
-#: avoided from here).  Keys: ``zm_rounds``, ``zm_ops``,
-#: ``bytes_avoided``, ``plan_hits``, ``plan_misses``, ``rec_rounds``.
+#: (``--executor process`` reports plan-cache hit rate, merge bytes
+#: avoided and round trips per round from here).  Keys: ``zm_rounds``,
+#: ``zm_ops``, ``bytes_avoided``, ``plan_hits``, ``plan_misses`` (run
+#: totals so far), ``rounds`` (phase rounds of that ``do``) and
+#: ``roundtrips`` (that ``do``'s pool round trips per command tag).
 LAST_RUN_STATS: dict = {}
 
 
@@ -92,12 +106,27 @@ class ProcessBackend:
         # id) -> the encoded rec subset a later "rec_plan" reference
         # resolves to.
         self._rec_cache: list[dict] = []
+        # Traffic memo: rec structure (kind plus per-worker rec plan
+        # ids) -> the traffic aggregate_traffic computed for it.
+        self._traffic: dict = {}
         # Zero-merge round state (reset by begin_round).
         self._hold_ok = False
+        self._fuse_ok = False
         self._hold = False
+        self._fuse = False
+        self._defer = False
         self._round_flags: dict = {}
         self._hold_wtargets: dict = {}
         self._commit_replies: dict | None = None
+        # Pipelining state: the commit decision waiting to ride on the
+        # next round command (with each group's phase index), the
+        # accounting waiting to overlap the next round trip, and the
+        # worker reports whose rec maps that accounting absorbs.
+        self._pending_commit: dict | None = None
+        self._pending_phases: dict = {}
+        self._deferred = None
+        self._rec_reports: list = []
+        self._rounds = 0
         # Digest verification: recompute each worker's committed-rows
         # checksum parent-side (tests and CI set this; costs a gather
         # per target per round, so it is opt-in).
@@ -153,6 +182,10 @@ class ProcessBackend:
             and (rt.sanitizer is None or rt.sanitize_auto)
             and rt.commit_engine == "vectorized"
         )
+        # A held round's commit may wait for the next round command
+        # unless a resilience hook can checkpoint or restore the
+        # committed state in between.
+        self._fuse_ok = self._hold_ok and rt.resilience is None
         total = sum(counts)
         w = self.n_workers
         payloads = [
@@ -175,9 +208,18 @@ class ProcessBackend:
         self._global_reports = None
         self._node_reports = None
         self._rec_cache = [{} for _ in range(w)]
+        self._traffic = {}
         self._round_flags = {}
         self._hold_wtargets = {}
         self._commit_replies = None
+        self._pending_commit = None
+        self._pending_phases = {}
+        self._deferred = None
+        self._rec_reports = []
+        self._rounds = 0
+        self._pool.tag_counts.clear()
+        # A do that raised mid-barrier may have left stale counts.
+        self._pool.reset_gate()
         if self.supervisor is not None:
             self.supervisor.begin_do(common, payloads)
         self._pool.roundtrip("do_start", None, per_worker=payloads)
@@ -218,6 +260,7 @@ class ProcessBackend:
         self._arrays[w] = {}
         self._specs[w] = {}
         self._rec_cache[w] = {}
+        self._traffic = {}  # keyed by plan ids the replacement reuses
 
     def merge_views(self, views) -> None:
         """Merge a worker reply's snapshot-view flags into the
@@ -238,6 +281,33 @@ class ProcessBackend:
             for grank, done, decl, _cost in states:
                 self._apply_state(self._vp_index[grank], done, decl)
 
+    def flush(self) -> None:
+        """Finish the last round of a ``do``: its accounting, and its
+        held commit as a standalone ``commit`` trip that the accounting
+        overlaps."""
+        overlap = self._take_deferred()
+        fused = self._pending_commit
+        if fused is None:
+            if overlap is not None:
+                overlap()
+            return
+        self._pending_commit = None
+        for node_key, entries in self._commit_trip(fused, overlap).items():
+            self._count_digests(node_key, entries)
+
+    def abandon(self, exc: Exception) -> None:
+        """Error path of ``do``: settle the finished rounds' accounting
+        and commit, which the inline engine would already have done
+        when ``exc`` surfaced.  ``exc`` is what propagates; a failure
+        here is recorded on it as a note."""
+        try:
+            self.flush()
+        except Exception as flush_exc:
+            exc.add_note(
+                f"(settling the rounds finished before this error also "
+                f"failed: {flush_exc!r})"
+            )
+
     def end_do(self) -> None:
         """Release per-do worker state; best-effort because this runs
         in the ``finally`` of ``do`` with any real error propagating."""
@@ -250,6 +320,7 @@ class ProcessBackend:
         self._node_reports = None
         self._coll_outbox = []
         self._commit_replies = None
+        self._rec_reports = []
         LAST_RUN_STATS.clear()
         LAST_RUN_STATS.update(
             zm_rounds=self.zm_rounds,
@@ -257,6 +328,8 @@ class ProcessBackend:
             bytes_avoided=self.zm_bytes_avoided,
             plan_hits=self.plan_hits,
             plan_misses=self.plan_misses,
+            rounds=self._rounds,
+            roundtrips=dict(self._pool.tag_counts),
         )
 
     def close(self) -> None:
@@ -282,10 +355,14 @@ class ProcessBackend:
                 if not vp.done
             }
         hold = self._hold_ok
+        fused = self._pending_commit
+        self._pending_commit = None
         cmd = {
             "kind": kind,
             "nodes": list(nodes),
             "coll_results": self._coll_outbox,
+            # Includes the pre-swaps of the fused commit below: workers
+            # remap before they apply it.
             "remaps": rt.shm.drain_remaps(),
             "core_map": core_map,
             # Speculative hold: certification flags only arrive with
@@ -293,15 +370,29 @@ class ProcessBackend:
             # that turn out uncertified fall back to shipping their
             # operations with the commit command.
             "mode": "hold" if hold else "ship",
+            # The previous round's commit decision, applied by each
+            # worker before it advances its VPs.
+            "commit": fused,
         }
         self._hold = hold
         self._round_flags = {}
         self._hold_wtargets = {}
         self._commit_replies = None
         self._coll_outbox = []
+        self._rounds += 1
         if self.supervisor is not None:
             self.supervisor.log_round(cmd)
-        replies = self._pool.roundtrip("round", cmd)
+        replies = self._pool.roundtrip(
+            "round", cmd, overlap=self._take_deferred()
+        )
+        if fused is not None:
+            stalled = [
+                w for w, rep in enumerate(replies)
+                if rep is not None and rep.get("stalled")
+            ]
+            if stalled:
+                self._resume(cmd, replies, stalled)
+            self._fused_digests(replies)
         # Merge snapshot-view flags before any commit of this round so
         # the copy-on-commit guard sees worker-held views.
         for rep in replies:
@@ -345,6 +436,22 @@ class ProcessBackend:
                 bool(voted) and all(c for c, _z in voted),
                 bool(voted) and all(z for _c, z in voted),
             )
+        # A held round whose every group commits in place defers its
+        # commit to the next round command; any group that must ship
+        # its operations keeps the standalone commit trip.
+        self._fuse = self._fuse_ok and all(
+            z for _c, z in self._round_flags.values()
+        )
+        # The round's accounting may overlap the next round trip when
+        # it is one group (several node phases of one round account in
+        # turn, each reading the clocks the one before it advanced) and
+        # no standalone commit trip must decode operations after its
+        # rec maps (the workers encode them in that order).
+        self._defer = (
+            rt.resilience is None
+            and (kind == "global" or len(nodes) == 1)
+            and (not hold or self._fuse)
+        )
         tr = rt.tracer
         if tr is not None:
             phase_index = rt.stats_global_phases + rt.stats_node_phases
@@ -374,8 +481,13 @@ class ProcessBackend:
         by_rank: dict[int, tuple] = {}
         for w, rep in reports:
             self._merge_report(recorder, w, rep, by_rank)
+        if self._defer:
+            self._rec_reports = reports
+        else:
+            self._absorb_recs(recorder, reports)
         tr = recorder.tracer
         core_costs = recorder.core_costs
+        decls = self._decls
         run_node = -1
         inner = None
         for vp in vps:
@@ -394,7 +506,69 @@ class ProcessBackend:
                 core = ctx.core_id
                 inner[core] = inner.get(core, 0.0) + cost
             vp.last_cost = cost
-            self._apply_state(vp, done, decl)
+            # _apply_state, inlined: this loop runs once per VP per round.
+            if done:
+                vp.done = True
+                vp.decl = None
+            else:
+                vp.decl = decls.get(decl) or self._decl(decl)
+                vp.phase_index += 1
+
+    def account(self, recorder, finish) -> None:
+        """Run a phase's accounting (``finish()``, the runtime's
+        after-commit half, which returns the phase's traffic) now, or
+        defer it, with the absorption of the phase's worker rec maps,
+        to overlap the next round trip.  A deferred phase whose rec
+        structure repeats an earlier one's reuses that phase's traffic
+        instead (``finish(traffic=...)``): iterative kernels repeat
+        their access pattern round after round."""
+        if not self._defer:
+            finish()
+            return
+        reports, self._rec_reports = self._rec_reports, []
+        # Bundling events need the rec maps of every phase.
+        memo = self._traffic if self.rt.tracer is None else None
+
+        def deferred():
+            key, traffic = self._absorb_recs(recorder, reports, memo)
+            if traffic is not None:
+                finish(traffic=traffic)
+                return
+            traffic = finish()
+            if key is not None:
+                if len(memo) >= 4096:
+                    memo.clear()
+                memo[key] = traffic
+
+        # Deferred rounds are single-group, so at most one phase waits.
+        self._deferred = deferred
+
+    def _resume(self, cmd: dict, replies: list, stalled: list) -> None:
+        """Advance the workers that committed but did not pass the
+        commit barrier.  Every commit is in place once the fused trip
+        returns, so a second trip of the same round command, commit
+        stripped, runs their bodies; their digests are kept."""
+        self._pool.reset_gate()
+        again = self._pool.roundtrip(
+            "round", dict(cmd, commit=None, remaps=[]), only=stalled
+        )
+        for w in stalled:
+            replies[w] = dict(again[w], commit=replies[w]["commit"])
+
+    def _fused_digests(self, replies) -> None:
+        """Count the digests of the fused commit that rode on a round
+        command (they arrive with that round's replies)."""
+        merged = self._commit_applied(
+            (w, rep["commit"]) for w, rep in enumerate(replies) if rep is not None
+        )
+        for node_key, entries in merged.items():
+            self._count_digests(node_key, entries)
+
+    def _take_deferred(self):
+        """The deferred accounting (None when there is none), handed to
+        the next round trip as its ``overlap``."""
+        deferred, self._deferred = self._deferred, None
+        return deferred
 
     def _gather_wtargets(self, node_key, reports) -> None:
         acc = self._hold_wtargets.setdefault(node_key, set())
@@ -412,14 +586,18 @@ class ProcessBackend:
         """Resolve a held round's commit for ``node_key``.
 
         No-op for ship-mode rounds (operations already arrived with the
-        round replies).  For a held round, the *first* call runs the
-        single commit round-trip covering every group of the round:
-        zero-merge-eligible groups commit worker-side (their reply is a
-        fixed-size digest and ``recorder.write_ops`` stays empty);
-        ineligible groups fall back to shipping their operation stream
-        here, absorbed into the recorder exactly as a ship-mode round
-        would have — the sanitizer and the parent's ordinary
-        rank-ordered commit then run unchanged.
+        round replies).  For a held round, the *first* call decides
+        every group of the round and pre-swaps the targets of the
+        groups that commit in place.  When every group commits in
+        place, the decision then waits to ride on the next round
+        command (or the final flush) and ``recorder.write_ops`` stays
+        empty.  Otherwise one standalone commit round trip covers the
+        round: zero-merge-eligible groups commit worker-side (their
+        reply is a fixed-size digest), ineligible groups fall back to
+        shipping their operation stream here, absorbed into the
+        recorder exactly as a ship-mode round would have — the
+        sanitizer and the parent's ordinary rank-ordered commit then
+        run unchanged.
 
         Node phases of one round are committed together: their targets
         are disjoint by construction (node phases write only their own
@@ -429,16 +607,19 @@ class ProcessBackend:
         if not self._hold:
             return
         if self._commit_replies is None:
-            self._run_commit_round()
-        rt = self.rt
-        registry = rt.shared_registry
-        tr = rt.tracer
-        total_ops = 0
-        total_bytes = 0
-        total_hits = 0
-        total_misses = 0
-        workers = 0
-        for w, d in self._commit_replies.pop(node_key, []):
+            cmd = self._commit_decisions()
+            if self._fuse:
+                self._pending_commit = cmd
+                self._commit_replies = {}
+            else:
+                self._commit_replies = self._commit_trip(cmd)
+        entries = self._commit_replies.pop(node_key, [])
+        if not any(d.get("ops") is not None for _w, d in entries):
+            self._pending_phases[node_key] = recorder.phase_index
+            self._count_digests(node_key, entries)
+            return
+        registry = self.rt.shared_registry
+        for w, d in entries:
             ops = d.get("ops")
             if ops is not None:
                 recorder.absorb_ops(
@@ -450,42 +631,12 @@ class ProcessBackend:
                     for name, instance, op_kind, op, idx_enc, value,
                         spec_enc, rank, rows_exact in ops
                 )
-                continue
-            n = d.get("ops_n", 0)
-            if not n:
-                continue
-            workers += 1
-            total_ops += n
-            total_bytes += d.get("bytes_avoided", 0)
-            total_hits += d.get("plan_hits", 0)
-            total_misses += d.get("plan_misses", 0)
-            if self._verify:
-                self._verify_digest(w, d)
-        if total_ops:
-            self.zm_rounds += 1
-            self.zm_ops += total_ops
-            self.zm_bytes_avoided += total_bytes
-            self.plan_hits += total_hits
-            self.plan_misses += total_misses
-            if tr is not None:
-                tr.emit(
-                    ZeroMergeCommit(
-                        phase=rt.stats_global_phases + rt.stats_node_phases,
-                        node=-1 if node_key is None else node_key,
-                        workers=workers,
-                        ops=total_ops,
-                        plan_hits=total_hits,
-                        plan_misses=total_misses,
-                        bytes_avoided=total_bytes,
-                    )
-                )
 
-    def _run_commit_round(self) -> None:
-        """The round's single commit round-trip, covering every held
-        group: decide local-vs-ship per group, pre-swap aliased targets
-        of locally-committed groups (copy-on-commit must happen
-        *before* any worker writes), and ship the resulting remaps with
-        the decisions."""
+    def _commit_decisions(self) -> dict:
+        """Decide local-vs-ship per held group and pre-swap aliased
+        targets of locally-committed groups (copy-on-commit must happen
+        *before* any worker writes); the pre-swaps' remaps ship with
+        the command that carries the decisions."""
         rt = self.rt
         registry = rt.shared_registry
         # Under supervision every local-commit target swaps (force) and
@@ -520,23 +671,68 @@ class ProcessBackend:
                         prune=not supervised and name in prune,
                     )
             groups.append((node_key, decision))
-        cmd = {
-            "remaps": rt.shm.drain_remaps(),
-            "groups": groups,
-            "verify": self._verify,
-        }
-        if supervised:
+        return {"groups": groups, "verify": self._verify}
+
+    def _commit_trip(self, cmd: dict, overlap=None) -> dict:
+        """One standalone commit round trip, shipping the remaps of the
+        pre-swaps made so far.  Returns the replies grouped by node
+        key, as ``[(worker, digest or shipped ops), ...]``."""
+        cmd = dict(cmd, remaps=self.rt.shm.drain_remaps())
+        if self.supervisor is not None:
             self.supervisor.log_commit(cmd)
-        replies = self._pool.roundtrip("commit", cmd)
-        if supervised:
-            rt.shm.release_retained()
+        replies = self._pool.roundtrip("commit", cmd, overlap=overlap)
+        return self._commit_applied(
+            (w, rep["groups"]) for w, rep in enumerate(replies) if rep is not None
+        )
+
+    def _commit_applied(self, replies) -> dict:
+        """Group the commit replies of a finished trip by node key.
+        The retained pre-swap segments (the crash-replay source of the
+        commit the trip applied) are released here."""
+        if self.supervisor is not None:
+            self.rt.shm.release_retained()
         merged: dict = {}
-        for w, rep in enumerate(replies):
-            if rep is None:
-                continue
-            for node_key, d in rep["groups"]:
+        for w, groups in replies:
+            for node_key, d in groups:
                 merged.setdefault(node_key, []).append((w, d))
-        self._commit_replies = merged
+        return merged
+
+    def _count_digests(self, node_key, entries) -> None:
+        """Count (and, under ``PPM_ZERO_MERGE_VERIFY``, verify) one
+        group's in-place commit digests and emit its
+        :class:`ZeroMergeCommit`."""
+        total_ops = total_bytes = total_hits = total_misses = workers = 0
+        for w, d in entries:
+            n = d.get("ops_n", 0)
+            if not n:
+                continue
+            workers += 1
+            total_ops += n
+            total_bytes += d.get("bytes_avoided", 0)
+            total_hits += d.get("plan_hits", 0)
+            total_misses += d.get("plan_misses", 0)
+            if self._verify:
+                self._verify_digest(w, d)
+        if not total_ops:
+            return
+        self.zm_rounds += 1
+        self.zm_ops += total_ops
+        self.zm_bytes_avoided += total_bytes
+        self.plan_hits += total_hits
+        self.plan_misses += total_misses
+        tr = self.rt.tracer
+        if tr is not None:
+            tr.emit(
+                ZeroMergeCommit(
+                    phase=self._pending_phases[node_key],
+                    node=-1 if node_key is None else node_key,
+                    workers=workers,
+                    ops=total_ops,
+                    plan_hits=total_hits,
+                    plan_misses=total_misses,
+                    bytes_avoided=total_bytes,
+                )
+            )
 
     def _verify_digest(self, w: int, digest: dict) -> None:
         registry = self.rt.shared_registry
@@ -630,24 +826,12 @@ class ProcessBackend:
 
     def _merge_report(self, recorder, w: int, rep: dict, by_rank: dict) -> None:
         registry = self.rt.shared_registry
-        # Resolve the record structure: an exact cross-round repeat
-        # arrives as a plan reference instead of the full payload.
-        pid = rep.get("rec_plan")
-        if pid is not None:
-            recs = self._rec_cache[w][pid]
-        else:
-            recs = rep
-            pid = rep.get("rec_new")
-            if pid is not None:
-                self._rec_cache[w][pid] = {
-                    k: rep[k] for k in ("greads", "gwrites", "nwe", "nro", "nre")
-                }
         # Decode the operation stream *first*: the worker encodes ops
         # before the read/write records, so an index array's first
         # mention (the ``("n", iid, arr)`` form later records reference
         # by id) can live only there.  Held rounds have no ops here —
         # they ship theirs with the commit reply, which the worker also
-        # encodes last.
+        # encodes last.  The records are absorbed by _absorb_recs.
         ops = rep.get("ops")
         if ops is not None:
             recorder.absorb_ops(
@@ -659,20 +843,6 @@ class ProcessBackend:
                 for name, instance, op_kind, op, idx_enc, value, spec_enc,
                     rank, rows_exact in ops
             )
-        recorder.absorb_global_reads(
-            (node_id, registry[name],
-             [self._spec(w, e) for e in specs], n_elem)
-            for node_id, name, specs, n_elem in recs["greads"]
-        )
-        recorder.absorb_global_writes(
-            (node_id, registry[name],
-             [self._spec(w, e) for e in specs], n_elem)
-            for node_id, name, specs, n_elem in recs["gwrites"]
-        )
-        for node_id, n_elem in recs["nwe"].items():
-            recorder.node_write_elems[node_id] += n_elem
-        recorder.node_read_ops += recs["nro"]
-        recorder.node_read_elems += recs["nre"]
         slots = recorder.collective_slots
         for i, kind, op, entries in rep["colls"]:
             while len(slots) <= i:
@@ -695,3 +865,54 @@ class ProcessBackend:
                 slot.add(rank, value)
         for grank, done, decl, cost in rep["vps"]:
             by_rank[grank] = (done, decl, cost)
+
+    def _absorb_recs(self, recorder, reports, memo=None):
+        """Merge the workers' read/write rec maps and node tallies into
+        ``recorder``, in worker order (what bundling and the cost model
+        read).
+
+        With ``memo`` (the traffic memo) the rec structure is looked up
+        first: when every report names a rec plan, the plan ids decide
+        the rec maps exactly, so a structure seen before needs only its
+        node tallies and returns ``(key, traffic)`` with the traffic
+        ``aggregate_traffic`` computed for it then.  Otherwise the rec
+        maps are absorbed and ``(key, None)`` is returned (``key`` is
+        None when the structure cannot be memoised)."""
+        structure = []
+        for w, rep in reports:
+            # Resolve the record structure: an exact cross-round repeat
+            # arrives as a plan reference instead of the full payload.
+            pid = rep.get("rec_plan")
+            if pid is not None:
+                recs = self._rec_cache[w][pid]
+            else:
+                recs = rep
+                pid = rep.get("rec_new")
+                if pid is not None:
+                    self._rec_cache[w][pid] = {
+                        k: rep[k] for k in ("greads", "gwrites", "nwe", "nro", "nre")
+                    }
+            structure.append((w, pid, recs))
+            for node_id, n_elem in recs["nwe"].items():
+                recorder.node_write_elems[node_id] += n_elem
+            recorder.node_read_ops += recs["nro"]
+            recorder.node_read_elems += recs["nre"]
+        key = None
+        if memo is not None and all(pid is not None for _w, pid, _r in structure):
+            key = (recorder.kind,) + tuple((w, pid) for w, pid, _r in structure)
+            traffic = memo.get(key)
+            if traffic is not None:
+                return key, traffic
+        registry = self.rt.shared_registry
+        for w, _pid, recs in structure:
+            recorder.absorb_global_reads(
+                (node_id, registry[name],
+                 [self._spec(w, e) for e in specs], n_elem)
+                for node_id, name, specs, n_elem in recs["greads"]
+            )
+            recorder.absorb_global_writes(
+                (node_id, registry[name],
+                 [self._spec(w, e) for e in specs], n_elem)
+                for node_id, name, specs, n_elem in recs["gwrites"]
+            )
+        return key, None

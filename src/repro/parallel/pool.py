@@ -8,7 +8,7 @@ command sent receives exactly one reply, so the pipes can never
 desynchronise across ``do`` boundaries or error paths:
 
 * commands are ``(tag, payload)`` tuples (``init``, ``do_start``,
-  ``prologue``, ``round``, ``do_end``, ``shutdown``);
+  ``prologue``, ``round``, ``commit``, ``do_end``, ``shutdown``);
 * replies are ``("ok", result)``, ``("exc", shipped_exception)`` or
   ``("interrupt", None)`` — a worker-side ``KeyboardInterrupt`` is
   re-raised in the parent *as* ``KeyboardInterrupt``, preserving the
@@ -88,6 +88,11 @@ class WorkerPool:
 
         ctx = _start_context()
         self.n_workers = n_workers
+        #: The workers' commit barrier: one counting semaphore per
+        #: worker (see ``repro.parallel.worker``).  Semaphores, not a
+        #: lock-based barrier, so a worker killed mid-wait cannot leave
+        #: a lock held.
+        self.gate = [ctx.Semaphore(0) for _ in range(n_workers)]
         self._procs = []
         self._conns = []
         self._dead: set[int] = set()
@@ -102,6 +107,10 @@ class WorkerPool:
         #: on the pipes, named by the PPM603 message.
         self._round_no = 0
         self._last_tag = "init"
+        #: Round trips per command tag since the owner last cleared it
+        #: (the backend does at each ``do`` and publishes the counts in
+        #: ``repro.parallel.backend.LAST_RUN_STATS``).
+        self.tag_counts: dict[str, int] = {}
         try:
             for i in range(n_workers):
                 self._spawn(ctx, i)
@@ -118,7 +127,7 @@ class WorkerPool:
         parent_conn, child_conn = ctx.Pipe(duplex=True)
         proc = ctx.Process(
             target=worker_main,
-            args=(child_conn, i),
+            args=(child_conn, i, self.gate),
             name=f"ppm-worker-{i}",
             daemon=True,
         )
@@ -132,12 +141,28 @@ class WorkerPool:
             self._conns.append(parent_conn)
 
     # ------------------------------------------------------------------
-    def roundtrip(self, tag: str, payload, *, per_worker=None, supervised=True):
+    def roundtrip(
+        self,
+        tag: str,
+        payload,
+        *,
+        per_worker=None,
+        supervised=True,
+        overlap=None,
+        only=None,
+    ):
         """Send ``(tag, payload)`` to every live worker and return the
         list of their results (indexed by worker id; ``None`` for dead
         workers).  ``per_worker`` optionally overrides the payload per
-        worker id.  Raises after draining every pending reply, so the
-        protocol stays in sync for the next command.
+        worker id; ``only`` restricts the trip to the listed workers.
+        Raises after draining every pending reply, so the protocol
+        stays in sync for the next command.
+
+        ``overlap`` is an optional callable run after every command is
+        sent and before the first reply is read: parent-side work that
+        proceeds while the workers execute.  If it raises, the replies
+        are still drained, and its exception is raised in place of any
+        worker failure (it belongs to an earlier point of the program).
 
         Failure handling: a send error or closed pipe classifies the
         worker as ``"crash"``, a reply overrunning the supervisor's
@@ -153,6 +178,7 @@ class WorkerPool:
             raise ParallelExecutionError("worker pool is closed")
         sup = self.supervisor if supervised else None
         self._last_tag = tag
+        self.tag_counts[tag] = self.tag_counts.get(tag, 0) + 1
         if tag == "round":
             self._round_no += 1
         failures: list[tuple[int, str]] = []
@@ -163,7 +189,7 @@ class WorkerPool:
             failures.extend((i, "crash") for i in sorted(self._dead))
         sent = []
         for i, conn in enumerate(self._conns):
-            if i in self._dead:
+            if i in self._dead or (only is not None and i not in only):
                 continue
             body = payload if per_worker is None else per_worker[i]
             try:
@@ -174,7 +200,13 @@ class WorkerPool:
                 continue
             sent.append(i)
         if sup is not None:
-            sup.maybe_chaos(tag, sent)
+            sup.maybe_chaos(tag, payload, sent)
+        overlap_exc = None
+        if overlap is not None:
+            try:
+                overlap()
+            except BaseException as exc:  # noqa: BLE001 - raised below
+                overlap_exc = exc
         deadline = sup.deadline_for(tag) if sup is not None else None
         replies: list = [None] * self.n_workers
         for i in sent:
@@ -200,8 +232,12 @@ class WorkerPool:
                 # unknowable now, so the worker is retired.
                 self._dead.add(i)
                 failures.append((i, "corrupt-reply"))
-        # All replies are drained; now surface failures.  A worker-side
-        # KeyboardInterrupt wins (the user hit Ctrl-C; unwind as such).
+        # All replies are drained; now surface failures.  The
+        # overlapped parent work ran first in program order, so its
+        # error wins; then a worker-side KeyboardInterrupt (the user
+        # hit Ctrl-C; unwind as such).
+        if overlap_exc is not None:
+            raise overlap_exc
         results: list = [None] * self.n_workers
         failure = None
         for i in sent:
@@ -253,6 +289,14 @@ class WorkerPool:
             self.roundtrip(tag, payload, supervised=False)
         except BaseException:
             pass
+
+    def reset_gate(self) -> None:
+        """Drop the commit barrier's stale counts (a worker that gave
+        up waiting, or died, mid-barrier).  Only while no worker is
+        executing a command."""
+        for sem in self.gate:
+            while sem.acquire(False):
+                pass
 
     # ------------------------------------------------------------------
     # Single-worker traffic (crash recovery)

@@ -96,7 +96,9 @@ class ProcessChaos:
       manifests as a hang past the round deadline; the supervisor then
       hard-kills and recovers it identically).
     * ``window`` — ``"round"`` targets phase-round dispatches,
-      ``"commit"`` targets zero-merge commit dispatches.
+      ``"commit"`` targets commit-carrying dispatches: standalone
+      zero-merge commit trips and round dispatches that carry the
+      previous round's fused commit alike.
 
     The dispatch counter and the fired set are *never* reset: a firing
     is consumed, so pool restarts after degradation (or resilience
@@ -136,11 +138,11 @@ class ProcessChaos:
         self._dispatch = 0
         self._fired: set[int] = set()
 
-    def should_fire(self, tag: str, n_workers: int) -> int | None:
-        """Victim worker id for this dispatch, or None.  Counts every
-        dispatch of the configured window; a returned firing is
-        consumed."""
-        if tag != self.window:
+    def should_fire(self, windows: tuple[str, ...], n_workers: int) -> int | None:
+        """Victim worker id for a dispatch belonging to ``windows``, or
+        None.  Counts every dispatch of the configured window; a
+        returned firing is consumed."""
+        if self.window not in windows:
             return None
         i = self._dispatch
         self._dispatch += 1
@@ -229,6 +231,15 @@ class SupervisionState:
         )
 
 
+def _carries_commit(tag: str, payload) -> bool:
+    """Does this dispatch apply a zero-merge commit worker-side (a
+    standalone commit trip, or a round carrying the fused commit of
+    the round before it)?"""
+    return tag == "commit" or (
+        tag == "round" and payload.get("commit") is not None
+    )
+
+
 class _PoolDegradation(ParallelError):
     """Internal control-flow signal: the respawn budget is exhausted
     and the run must restart in a degraded configuration.  Caught by
@@ -265,9 +276,13 @@ class WorkerSupervisor:
               after a partial in-place commit)
     ========= ==========================================================
 
-    Logged commits of *earlier* rounds are skipped entirely (their
-    effects live in the current segments) and replayed rounds carry no
-    remaps (the fresh ``do_start`` already names current segments).
+    A round dispatch that carries the previous round's fused commit is
+    recovered like a ``commit`` failure — retained segments, the held
+    round replayed in hold mode — and then re-dispatched verbatim with
+    its remaps plus ``restore``.  Logged commits of *earlier* rounds
+    (standalone or fused) are skipped entirely (their effects live in
+    the current segments) and replayed rounds carry no remaps (the
+    fresh ``do_start`` already names current segments).
     """
 
     def __init__(self, backend, policy: SupervisionPolicy,
@@ -308,13 +323,16 @@ class WorkerSupervisor:
     def deadline_for(self, tag: str) -> float:
         return self.policy.round_deadline(self._max_shard)
 
-    def maybe_chaos(self, tag: str, sent: list[int]) -> None:
+    def maybe_chaos(self, tag: str, payload, sent: list[int]) -> None:
         """Fire the configured chaos injection for this dispatch (a
-        no-op without a chaos plan)."""
+        no-op without a chaos plan).  A round dispatch carrying a fused
+        commit belongs to both the ``round`` and the ``commit``
+        window."""
         chaos = self.policy.chaos
         if chaos is None or self.pool is None:
             return
-        victim = chaos.should_fire(tag, self.pool.n_workers)
+        windows = (tag, "commit") if _carries_commit(tag, payload) else (tag,)
+        victim = chaos.should_fire(windows, self.pool.n_workers)
         if victim is None or victim not in sent:
             return
         sig = _signal.SIGKILL if chaos.signal == "kill" else _signal.SIGSTOP
@@ -385,12 +403,11 @@ class WorkerSupervisor:
             return pool.recv_one(w, deadline)
         # Rebuild do_start: current segment names, except inside a
         # commit window, where swapped targets re-attach their retained
-        # pre-swap segments (the commit command's own remaps then move
-        # the worker onto the new ones, exactly as the original worker
+        # pre-swap segments (the commit's own remaps then move the
+        # worker onto the new ones, exactly as the original worker
         # experienced it).
-        overrides = (
-            backend.rt.shm.retained_names() if tag == "commit" else None
-        )
+        in_commit = _carries_commit(tag, payload)
+        overrides = backend.rt.shm.retained_names() if in_commit else None
         common = dict(self._common, shared=backend._shared_specs(overrides))
         pool.send_one(
             w, "do_start",
@@ -402,33 +419,42 @@ class WorkerSupervisor:
         if tag == "prologue":
             return prologue_reply
         rounds = [cmd for k, cmd in self._log if k == "round"]
-        # The failing dispatch is always the last logged entry: exclude
-        # it (tag == "round": it is re-dispatched for real below;
-        # tag == "commit": its round replays in hold mode below).
-        replay_rounds = rounds[:-1]
+        # The failing dispatch is always the last logged entry: a
+        # failed round is re-dispatched for real below, so it is not
+        # replayed.  Inside a commit window the round whose commit is
+        # in flight replays last, in its logged hold mode, so the fresh
+        # worker holds the operations the commit applies.  Replayed
+        # rounds never apply the commits they carried.
+        if tag == "round":
+            rounds = rounds[:-1]
+        held = [rounds.pop()] if in_commit else []
         replayed = 0
         t0 = time.perf_counter()
-        for cmd in replay_rounds:
+        for cmd in rounds:
             pool.send_one(
                 w, "round",
-                {**cmd, "remaps": [], "mode": "ship", "replay": True},
+                {**cmd, "remaps": [], "mode": "ship", "replay": True,
+                 "commit": None},
             )
             rep = pool.recv_one(w, deadline)
             backend.merge_views(rep.get("views", ()))
             replayed += 1
-        if tag == "round":
-            pool.send_one(w, "round", dict(payload, remaps=[]))
-            result = pool.recv_one(w, deadline)
-        else:  # commit: replay the held round, then the commit verbatim
-            held_cmd = rounds[-1]
+        for cmd in held:
             pool.send_one(
-                w, "round", {**held_cmd, "remaps": [], "replay": True}
+                w, "round",
+                {**cmd, "remaps": [], "replay": True, "commit": None},
             )
             rep = pool.recv_one(w, deadline)
             backend.merge_views(rep.get("views", ()))
             replayed += 1
-            pool.send_one(w, "commit", dict(payload, restore=True))
-            result = pool.recv_one(w, deadline)
+        if in_commit:
+            # A replacement commits alone: it skips the commit barrier
+            # and replies stalled, so it advances only once every
+            # worker's commit is in place again.
+            pool.send_one(w, tag, dict(payload, restore=True, stall=True))
+        else:
+            pool.send_one(w, "round", dict(payload, remaps=[]))
+        result = pool.recv_one(w, deadline)
         self.state.replayed_rounds += replayed
         self._emit(
             RoundReplay(

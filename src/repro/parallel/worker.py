@@ -17,8 +17,12 @@ to the edges:
   is later referenced by id, and a repeated record *structure* ships
   as a plan id), or — when the round carries a static disjointness
   certificate — *held* worker-side and committed directly into the
-  shared segments on the parent's ``commit`` command, replying with a
-  fixed-size digest instead of the operation stream (zero-merge mode);
+  shared segments when the parent's commit decision arrives, replying
+  with a fixed-size digest instead of the operation stream (zero-merge
+  mode).  The decision usually rides on the *next* round command
+  (applied before any VP advances, its digests returned with that
+  round's reply); the last round of a ``do``, and rounds that must
+  ship operations, get a standalone ``commit`` command instead;
 * collective handles held by VP code resolve from the parent's
   round-commit results, shipped with the next round command.
 
@@ -43,6 +47,12 @@ from repro.core.shared import GlobalShared, NodeShared
 from repro.core.vp import VpContext, core_of
 from repro.machine.cluster import Cluster
 from repro.parallel.shm import WorkerSegmentCache
+
+#: Seconds a worker waits at the commit barrier for each peer before it
+#: gives up and replies ``stalled`` (the parent then advances it with a
+#: second trip).  A peer this late has died, hung or been descheduled;
+#: waiting longer would only delay the parent's failure detection.
+GATE_TIMEOUT_S = 0.25
 
 
 def _ship_exception(exc: BaseException):
@@ -93,6 +103,8 @@ class _WorkerDo:
 
     def __init__(self, state: "_WorkerState", common: dict, shard) -> None:
         self.cache = state.cache
+        self.gate = state.gate
+        self.worker_id = state.worker_id
         self.cluster = Cluster(state.config)
         # Deferred import: the runtime package imports repro.parallel
         # lazily, never the other way around at module level.
@@ -177,6 +189,7 @@ class _WorkerDo:
         # structure (reads/writes/spec refs/counts) is an exact repeat
         # ships a plan id instead of the payload.
         self._rec_plans: dict = {}
+        self._rec_fast: dict = {}
         self._rec_next = 0
         self.rec_hits = 0
         self.rec_misses = 0
@@ -215,9 +228,30 @@ class _WorkerDo:
     # ------------------------------------------------------------------
     def round(self, cmd: dict) -> dict:
         t0 = time.perf_counter()
-        # 1. Remap swapped segments (parent copy-on-commit) by name.
-        for name, instance, segment_name in cmd["remaps"]:
-            self._rebind(self.proxies[name], instance, segment_name)
+        # 1. Remap swapped segments (parent copy-on-commit) by name,
+        # then apply the previous round's fused commit decision (the
+        # remaps are that commit's pre-swaps), so this round's bodies
+        # read the committed state.  Bodies read rows other workers
+        # committed, so no worker advances before every worker has
+        # committed: the commit barrier.  A worker that does not pass
+        # it (a peer died, hung or is late; or, with ``stall``, it is a
+        # replacement replaying alone) replies ``stalled`` — committed,
+        # not advanced — and the parent resumes it once every commit
+        # is in place.
+        fused = cmd.get("commit")
+        if fused is not None:
+            committed = self.commit(
+                dict(
+                    fused,
+                    remaps=cmd["remaps"],
+                    restore=cmd.get("restore", False),
+                )
+            )
+            if cmd.get("stall") or not self._commit_barrier():
+                return {"stalled": True, "commit": committed["groups"]}
+        else:
+            for name, instance, segment_name in cmd["remaps"]:
+                self._rebind(self.proxies[name], instance, segment_name)
         # 2. Resolve collective handles from the previous round's commit.
         for node_key, results in cmd["coll_results"]:
             slots = self.pending.get(node_key)
@@ -304,9 +338,23 @@ class _WorkerDo:
                 views.append((name, None))
                 sv._views_taken = False
         payload["views"] = views
+        if fused is not None:
+            payload["commit"] = committed["groups"]
         payload["advanced"] = advanced
         payload["host_s"] = time.perf_counter() - t0
         return payload
+
+    def _commit_barrier(self) -> bool:
+        """Signal every peer that my commit is in place, then wait for
+        each peer's signal; False when a peer is later than
+        :data:`GATE_TIMEOUT_S`."""
+        gate, me = self.gate, self.worker_id
+        for j, sem in enumerate(gate):
+            if j != me:
+                sem.release()
+        return all(
+            gate[me].acquire(timeout=GATE_TIMEOUT_S) for _ in range(len(gate) - 1)
+        )
 
     def _round_flags(self, vps: list, kind: str):
         """(certified, zero_merge) for my shard's VPs, read off the
@@ -318,10 +366,11 @@ class _WorkerDo:
         cert = self.cert
         if cert is None:
             return (False, False)
-        return (
-            cert.round_certified(vps, kind),
-            cert.round_zero_merge(vps, kind),
-        )
+        # round_zero_merge implies round_certified (and checks it
+        # first), so the common certified round walks the frames once.
+        if cert.round_zero_merge(vps, kind):
+            return (True, True)
+        return (cert.round_certified(vps, kind), False)
 
     def _run_recorder(
         self,
@@ -398,13 +447,39 @@ class _WorkerDo:
                 {(ev.shared.name, ev.instance) for ev in recorder.write_ops},
                 key=lambda t: (t[0], -1 if t[1] is None else t[1]),
             )
+        # Fast path: on the fast hot path the access cache hands out
+        # the same RowSpec objects round after round, so a structure
+        # keyed by spec identity finds its plan without encoding.  The
+        # entry pins the specs, so their ids cannot be recycled while
+        # it lives.
+        read_recs = recorder.global_read_recs
+        write_recs = recorder.global_write_recs
+        nwe = tuple(sorted(recorder.node_write_elems.items()))
+        fast_key = (
+            tuple(
+                (nid, sv.name, tuple(map(id, specs)), ne)
+                for (nid, sv), (specs, ne) in read_recs.items()
+            ),
+            tuple(
+                (nid, sv.name, tuple(map(id, specs)), ne)
+                for (nid, sv), (specs, ne) in write_recs.items()
+            ),
+            nwe,
+            recorder.node_read_ops,
+            recorder.node_read_elems,
+        )
+        hit = self._rec_fast.get(fast_key)
+        if hit is not None:
+            payload["rec_plan"] = hit[0]
+            self.rec_hits += 1
+            return payload
         greads = [
             (node_id, sv.name, [enc.spec(s) for s in specs], n_elem)
-            for (node_id, sv), (specs, n_elem) in recorder.global_read_recs.items()
+            for (node_id, sv), (specs, n_elem) in read_recs.items()
         ]
         gwrites = [
             (node_id, sv.name, [enc.spec(s) for s in specs], n_elem)
-            for (node_id, sv), (specs, n_elem) in recorder.global_write_recs.items()
+            for (node_id, sv), (specs, n_elem) in write_recs.items()
         ]
         recs = {
             "greads": greads,
@@ -430,7 +505,7 @@ class _WorkerDo:
                     (nid, name, tuple(specs), ne)
                     for nid, name, specs, ne in gwrites
                 ),
-                tuple(sorted(recs["nwe"].items())),
+                nwe,
                 recs["nro"],
                 recs["nre"],
             )
@@ -448,6 +523,11 @@ class _WorkerDo:
                 payload["rec_new"] = pid
             self.rec_misses += 1
             payload.update(recs)
+        if pid is not None:
+            if len(self._rec_fast) >= 4096:
+                self._rec_fast.clear()
+            pinned = [rec[0] for rec in (*read_recs.values(), *write_recs.values())]
+            self._rec_fast[fast_key] = (pid, pinned)
         return payload
 
     # ------------------------------------------------------------------
@@ -469,7 +549,8 @@ class _WorkerDo:
         return total
 
     def commit(self, cmd: dict) -> dict:
-        """Parent's commit command for the preceding hold-mode round.
+        """Parent's commit decision for the preceding hold-mode round,
+        as a standalone command or fused into the next round's.
 
         The parent has already pre-swapped every aliased target
         (copy-on-commit) and ships the remaps here; after rebinding,
@@ -547,12 +628,11 @@ class _WorkerDo:
             # detach the proxy from the segment).
             target = sv._data if instance is None else sv._data[instance]
             plans.apply(target, evs)
-            key = (sv.name, instance)
-            rows = self._footprint(key, evs)
-            crc = zlib.crc32(np.ascontiguousarray(target[rows]).tobytes())
-            checksums.append(
-                (sv.name, instance, crc, self.enc.array(rows) if verify else None)
-            )
+            if verify:
+                # Committed-rows checksum, recomputed parent-side.
+                rows = self._footprint((sv.name, instance), evs)
+                crc = zlib.crc32(np.ascontiguousarray(target[rows]).tobytes())
+                checksums.append((sv.name, instance, crc, self.enc.array(rows)))
         return {
             "ops_n": len(ops),
             "bytes_avoided": self._ops_bytes(ops),
@@ -578,8 +658,9 @@ class _WorkerDo:
 class _WorkerState:
     """Long-lived per-process state across ``do`` invocations."""
 
-    def __init__(self, worker_id: int) -> None:
+    def __init__(self, worker_id: int, gate) -> None:
         self.worker_id = worker_id
+        self.gate = gate
         self.config = None
         self.cache = WorkerSegmentCache()
         self.do: _WorkerDo | None = None
@@ -604,7 +685,7 @@ class _WorkerState:
         raise RuntimeError(f"unknown worker command {tag!r}")
 
 
-def worker_main(conn, worker_id: int) -> None:
+def worker_main(conn, worker_id: int, gate) -> None:
     """Entry point of one worker process: serve commands until
     ``shutdown`` or a closed pipe.
 
@@ -619,7 +700,7 @@ def worker_main(conn, worker_id: int) -> None:
         prof = cProfile.Profile()
         prof.enable()
         try:
-            _worker_loop(conn, worker_id)
+            _worker_loop(conn, worker_id, gate)
         finally:
             prof.disable()
             try:
@@ -637,11 +718,11 @@ def worker_main(conn, worker_id: int) -> None:
             except OSError:  # pragma: no cover - profile dir vanished
                 pass
     else:
-        _worker_loop(conn, worker_id)
+        _worker_loop(conn, worker_id, gate)
 
 
-def _worker_loop(conn, worker_id: int) -> None:
-    state = _WorkerState(worker_id)
+def _worker_loop(conn, worker_id: int, gate) -> None:
+    state = _WorkerState(worker_id, gate)
     while True:
         try:
             tag, payload = conn.recv()

@@ -154,6 +154,17 @@ class TestPolicyValidation:
             ProcessChaos(seed=1, **kwargs)
         assert ei.value.code == "PPM601"
 
+    def test_commit_window_counts_fused_rounds(self):
+        # A round dispatch that carries a fused commit belongs to the
+        # commit window as well as the round window.
+        chaos = ProcessChaos(seed=1, every=1, window="commit")
+        assert chaos.should_fire(("round",), 2) is None
+        assert chaos.should_fire(("round", "commit"), 2) is not None
+        assert chaos.should_fire(("commit",), 2) is not None
+        rounds = ProcessChaos(seed=1, every=1, window="round")
+        assert rounds.should_fire(("round", "commit"), 2) is not None
+        assert rounds.should_fire(("commit",), 2) is None
+
     def test_deadline_scales_with_shard(self):
         pol = SupervisionPolicy(deadline_base=2.0, deadline_per_vp=0.5)
         assert pol.round_deadline(0) == 2.0
@@ -205,6 +216,58 @@ class TestCrashRecovery:
         np.testing.assert_array_equal(x1, x2)
         assert t1 == t2
         assert LAST_SUPERVISION["crashes"] > 0
+        assert live_ppm_segments() == []
+
+    @pytest.mark.parametrize("dispatch", [0, 18])
+    def test_kill_in_fused_commit_window(self, dispatch):
+        # A 6-iteration CG solve has 19 rounds: the commit of each of
+        # the first 18 rides on the next round's command (dispatches
+        # 0-17 of the commit window), the last one on the final flush
+        # (dispatch 18).  The victim dies inside either kind.
+        chaos = ProcessChaos(rounds=(dispatch,), worker=1, window="commit")
+        x1, t1 = _cg(5)
+        x2, t2 = _cg(
+            5, executor="process", workers=2,
+            supervision=SupervisionPolicy(chaos=chaos),
+        )
+        np.testing.assert_array_equal(x1, x2)
+        assert t1 == t2
+        assert chaos._fired == {dispatch}
+        if dispatch == 0:
+            # The victim must still pass the commit barrier and run
+            # the round's bodies, so the kill lands before its reply.
+            # (A final-flush victim may reply first: its death then
+            # surfaces at do_end, outside the run.)
+            assert LAST_SUPERVISION["crashes"] == 1
+        assert live_ppm_segments() == []
+
+    def test_retained_segments_span_their_commit_trip(self, monkeypatch):
+        # Under supervision every in-place commit target is pre-swapped
+        # and its pristine segment retained as crash-replay state: one
+        # per remap while the trip that applies the commit is in
+        # flight, and released before the next dispatch.
+        from repro.parallel.pool import WorkerPool
+
+        seen = []
+        real = WorkerPool.roundtrip
+
+        def roundtrip(pool, tag, payload, **kwargs):
+            if pool.supervisor is not None:  # not the pool's init trip
+                carries = tag == "commit" or (
+                    tag == "round" and payload.get("commit") is not None
+                )
+                remaps = len(payload["remaps"]) if carries else 0
+                held = set(pool.supervisor.backend.rt.shm.retained_names().values())
+                seen.append((remaps, held))
+            return real(pool, tag, payload, **kwargs)
+
+        monkeypatch.setattr(WorkerPool, "roundtrip", roundtrip)
+        _cg(3, executor="process", workers=2, supervision=SupervisionPolicy())
+        assert any(remaps for remaps, _held in seen)
+        for remaps, held in seen:
+            assert len(held) == remaps
+        for (_r, earlier), (_s, later) in zip(seen, seen[1:]):
+            assert not earlier & later
         assert live_ppm_segments() == []
 
     def test_fault_free_supervision_is_free(self):
