@@ -3,8 +3,8 @@
 Every other experiment in this suite reports *simulated* seconds on the
 modelled machine; this one reports **host** seconds — how long the
 simulator itself takes to run — because that is what the hot-path work
-(zero-copy snapshot reads, the vectorized commit engine, sequential
-lock elision) actually buys.  Simulated times and committed results are
+(zero-copy snapshot reads, the vectorized commit engine, inlined
+access recording) actually buys.  Simulated times and committed results are
 bitwise identical between the two hot paths; only the wall clock moves.
 
 Three macro workloads (the Figure-1 CG sweep, BFS, multigrid) run under
@@ -371,208 +371,15 @@ def write_wallclock_json(
             ),
         },
     }
-    # Preserve the sections written by ``--executor process`` and
-    # ``--snapshot pruned`` runs; the halves update independently.
+    # Preserve the section written by ``--executor process`` runs; the
+    # halves update independently.
     try:
         with open(path) as fh:
             prev = json.load(fh)
-        for section in ("process_backend", "snapshot_pruning"):
-            if section in prev:
-                report[section] = prev[section]
+        if "process_backend" in prev:
+            report["process_backend"] = prev["process_backend"]
     except (OSError, ValueError):
         pass
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    return report
-
-
-# ----------------------------------------------------------------------
-# Snapshot pruning: snapshot="full" vs snapshot="pruned" host seconds.
-# ----------------------------------------------------------------------
-
-def _pruned_run(app: str, small: bool):
-    """One (runner, note) pair; the runner executes the app under the
-    given ``snapshot`` mode and returns (result_array, simulated_s,
-    runtime) so the caller can read the pruning counters."""
-    if app == "cg_fig1":
-        import repro.apps.cg.ppm_cg as cg_module
-        from repro.apps.cg import build_chimney_problem, ppm_cg_solve
-
-        nodes = (1, 2, 4) if small else (1, 2, 4, 8)
-        iters = 10 if small else 30
-        problem = build_chimney_problem(12)
-
-        def run(snapshot: str):
-            captured = {}
-            orig = cg_module.run_ppm
-
-            def wrapped(main, cluster, *a, **kw):
-                ppm, out = orig(main, cluster, *a, **kw)
-                captured["rt"] = ppm.runtime
-                return ppm, out
-
-            cg_module.run_ppm = wrapped
-            try:
-                copy_s = copy_b = pruned_b = 0.0
-                elapsed = 0.0
-                res = None
-                for n in nodes:
-                    res, t = ppm_cg_solve(
-                        problem, _cluster(n), max_iters=iters, tol=0.0,
-                        snapshot=snapshot,
-                    )
-                    rt = captured["rt"]
-                    copy_s += rt.stats_commit_copy_s
-                    copy_b += rt.stats_commit_copy_bytes
-                    pruned_b += rt.stats_pruned_bytes
-                    elapsed += t
-                return res.x, elapsed, (copy_s, copy_b, pruned_b)
-            finally:
-                cg_module.run_ppm = orig
-
-        note = f"PPM CG sweep, nodes {nodes}, {iters} iters"
-        return run, note
-
-    import repro.apps.multigrid.ppm_mg as mg_module
-    from repro.apps.multigrid import build_mg_problem, ppm_mg_solve
-
-    levels = 6 if small else 8
-    cycles = 2 if small else 5
-    problem = build_mg_problem(levels=levels)
-
-    def run(snapshot: str):
-        captured = {}
-        orig = mg_module.run_ppm
-
-        def wrapped(main, cluster, *a, **kw):
-            ppm, out = orig(main, cluster, *a, **kw)
-            captured["rt"] = ppm.runtime
-            return ppm, out
-
-        mg_module.run_ppm = wrapped
-        try:
-            res, t = ppm_mg_solve(
-                problem, _cluster(8), cycles=cycles, snapshot=snapshot
-            )
-            rt = captured["rt"]
-            return (
-                res.u if hasattr(res, "u") else res,
-                t,
-                (
-                    rt.stats_commit_copy_s,
-                    rt.stats_commit_copy_bytes,
-                    rt.stats_pruned_bytes,
-                ),
-            )
-        finally:
-            mg_module.run_ppm = orig
-
-    note = f"PPM multigrid, L={levels}, {cycles} V-cycles, 8 nodes"
-    return run, note
-
-
-def wallclock_pruned(
-    *, small: bool = False, reps: int | None = None
-) -> SweepResult:
-    """Host-seconds comparison of ``snapshot="full"`` vs ``"pruned"``.
-
-    The liveness certificates let pruned runs skip copy-on-commit for
-    arrays proven unread through stale views; this sweep measures what
-    that is worth on the two apps with non-trivial certificates (CG:
-    all five arrays; multigrid: all twelve level arrays) and records
-    the *measured* savings next to the wall clock: ``bytes_avoided``
-    (snapshot copies not taken, from the runtime's pruning counters)
-    and ``copy_s_avoided`` (the full run's timed copy-on-commit cost
-    minus the pruned run's — host seconds actually not spent copying).
-    Committed results and simulated times are asserted bitwise
-    identical between the modes on every rep.
-    """
-    if reps is None:
-        reps = 1 if small else 2
-    rows: list[dict] = []
-    notes: list[str] = []
-    for app in ("cg_fig1", "multigrid"):
-        run, note = _pruned_run(app, small)
-        # Warm up both modes: the first pruned run also pays the one-off
-        # static analysis (cached on the kernel thereafter), which is
-        # analyzer cost — tracked by `bench analyzer` — not commit cost.
-        run("full")
-        run("pruned")
-        best = {"full": float("inf"), "pruned": float("inf")}
-        stats = {}
-        for _ in range(max(reps, 1)):
-            for mode in ("full", "pruned"):
-                t0 = time.perf_counter()
-                out, sim_t, counters = run(mode)
-                best[mode] = min(best[mode], time.perf_counter() - t0)
-                stats[mode] = (out, sim_t, counters)
-        full_out, full_t, (full_copy_s, full_copy_b, _) = stats["full"]
-        pr_out, pr_t, (pr_copy_s, pr_copy_b, pr_bytes) = stats["pruned"]
-        if not np.array_equal(full_out, pr_out) or full_t != pr_t:
-            raise AssertionError(
-                f"{app}: snapshot='pruned' diverged from the default "
-                "(committed arrays or simulated time differ)"
-            )
-        rows.append(
-            {
-                "workload": app,
-                "full_s": best["full"],
-                "pruned_s": best["pruned"],
-                "speedup": best["full"] / best["pruned"],
-                "bytes_avoided": int(pr_bytes),
-                "copy_s_avoided": full_copy_s - pr_copy_s,
-            }
-        )
-        notes.append(f"{app}: {note}")
-    return SweepResult(
-        name="wallclock_pruned",
-        columns=[
-            "workload",
-            "full_s",
-            "pruned_s",
-            "speedup",
-            "bytes_avoided",
-            "copy_s_avoided",
-        ],
-        rows=rows,
-        notes=(
-            "HOST seconds: snapshot='full' vs 'pruned' (liveness-"
-            f"certified copy-on-commit skipping), min of {reps} "
-            "interleaved rep(s); committed results and simulated times "
-            "are bitwise identical between modes (asserted). "
-            "bytes_avoided = snapshot copies skipped (runtime counter); "
-            "copy_s_avoided = timed copy-on-commit host cost of the "
-            "full run minus the pruned run's. " + " | ".join(notes)
-        ),
-    )
-
-
-def write_pruned_json(
-    result: SweepResult, path: str = _JSON_DEFAULT, *, small: bool = False
-) -> dict:
-    """Merge a ``snapshot_pruning`` section into ``BENCH_wallclock.json``
-    (the rest of the report is preserved, as with ``process_backend``)."""
-    try:
-        with open(path) as fh:
-            report = json.load(fh)
-    except (OSError, ValueError):
-        report = {"schema": "ppm-wallclock/1"}
-    report["snapshot_pruning"] = {
-        "generated_by": "python -m repro.bench wallclock --snapshot pruned",
-        "small": small,
-        "units": "host seconds; bytes_avoided in bytes",
-        "workloads": {
-            row["workload"]: {k: v for k, v in row.items() if k != "workload"}
-            for row in result.rows
-        },
-        "note": (
-            "snapshot='pruned' skips copy-on-commit for arrays the "
-            "liveness pass proves unread through stale views; committed "
-            "results and simulated times are bitwise identical "
-            "(asserted by the sweep)."
-        ),
-    }
     with open(path, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
@@ -728,8 +535,9 @@ def process_equivalence_check(*, workers: int = 2, supervised: bool = False) -> 
     """Three-engine bitwise check on a small CG workload (the
     ``--check`` half of the CI ``parallel-smoke`` job).
 
-    Inline, process zero-merge and process record-replay
-    (``zero_merge=False``) must commit the identical solution and
+    Inline, process zero-merge and process record-replay (forced by
+    ``sanitize="strict"``, whose parent-side conflict check needs the
+    operation stream) must commit the identical solution and
     report the identical simulated time, and the pool must leave no
     shared-memory segments behind.  The zero-merge run executes with
     ``PPM_ZERO_MERGE_VERIFY`` set, so the parent recomputes and checks
@@ -778,7 +586,7 @@ def process_equivalence_check(*, workers: int = 2, supervised: bool = False) -> 
         tol=0.0,
         executor="process",
         workers=workers,
-        zero_merge=False,
+        sanitize="strict",
         **sup_opts,
     )
     leaked = live_ppm_segments()
@@ -956,19 +764,10 @@ def main(argv: list[str] | None = None) -> int:
         "default_workers() clamp)",
     )
     parser.add_argument(
-        "--snapshot",
-        choices=("full", "pruned"),
-        default="full",
-        help="pruned: measure snapshot='full' vs snapshot='pruned' "
-        "(liveness-certified copy-on-commit skipping) and record the "
-        "snapshot_pruning section of BENCH_wallclock.json",
-    )
-    parser.add_argument(
         "--check",
         action="store_true",
         help="inline: traced/sanitized guard-band check; process: "
         "three-engine equivalence + zero-merge digest/plan-cache check; "
-        "with --snapshot pruned: require measurable pruning savings; "
         "nonzero exit on breach",
     )
     parser.add_argument(
@@ -1018,37 +817,6 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.supervised and args.executor != "process":
         parser.error("--supervised requires --executor process")
-    if args.snapshot == "pruned":
-        if args.executor != "inline":
-            parser.error("--snapshot pruned runs on the inline executor")
-        result = wallclock_pruned(small=args.small)
-        write_pruned_json(result, args.out, small=args.small)
-        if args.small:
-            print(format_table(result))
-        else:
-            print(save_result(result))
-        status = 0
-        if args.check:
-            # The sweep itself asserts bitwise identity; the check adds
-            # that the certificates actually bought something.
-            starved = [
-                row["workload"]
-                for row in result.rows
-                if row["bytes_avoided"] <= 0
-            ]
-            ok = not starved
-            print(
-                "pruning: "
-                + ", ".join(
-                    f"{row['workload']} {row['bytes_avoided']} B avoided"
-                    for row in result.rows
-                )
-                + f" -> {'ok' if ok else 'FAIL (' + ', '.join(starved) + ')'}"
-            )
-            status = 0 if ok else 1
-        _dump_profile()
-        print(f"wrote {os.path.abspath(args.out)}")
-        return status
     if args.executor == "process":
         result = wallclock_process(
             small=args.small, workers=args.workers, supervised=args.supervised

@@ -476,7 +476,6 @@ class PhaseRecorder:
         *,
         engine: str = "vectorized",
         plans: CommitPlanCache | None = None,
-        prune: frozenset = frozenset(),
     ) -> None:
         """Commit all buffered writes.
 
@@ -489,9 +488,6 @@ class PhaseRecorder:
         are bitwise identical).  ``plans`` optionally supplies a
         :class:`CommitPlanCache` so iterative kernels pay index
         compilation once per access pattern instead of every round.
-        ``prune`` names shared variables whose liveness certificate
-        allows the commit to skip copy-on-commit and apply in place
-        (``run_ppm(..., snapshot="pruned")``).
         """
         if not self.write_ops:
             return
@@ -502,9 +498,7 @@ class PhaseRecorder:
         for ev in ops:
             groups.setdefault((id(ev.shared), ev.instance), []).append(ev)
         for evs in groups.values():
-            target = evs[0].shared._commit_target(
-                evs[0].instance, prune=evs[0].shared.name in prune
-            )
+            target = evs[0].shared._commit_target(evs[0].instance)
             if engine == "legacy":
                 for ev in evs:
                     ev.replay(target)

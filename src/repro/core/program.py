@@ -61,17 +61,14 @@ class PpmProgram:
         self,
         cluster: Cluster,
         *,
-        vp_executor: str = "sequential",
         sanitize: str | bool | None = None,
         trace: "PhaseTrace | bool | None" = None,
         hot_path: str = "fast",
         resilience=None,
         executor: str = "inline",
         workers: int | None = None,
-        zero_merge: bool = True,
         supervision=None,
         supervision_state=None,
-        snapshot: str = "full",
     ) -> None:
         if trace in (None, False):
             tracer = None
@@ -85,22 +82,21 @@ class PpmProgram:
             )
         self.runtime = PpmRuntime(
             cluster,
-            vp_executor=vp_executor,
             sanitize=sanitize,
             trace=tracer,
             hot_path=hot_path,
             resilience=resilience,
             executor=executor,
             workers=workers,
-            zero_merge=zero_merge,
             supervision=supervision,
             supervision_state=supervision_state,
-            snapshot=snapshot,
         )
         self.cluster = cluster
 
     def close(self) -> None:
-        """Release runtime resources (the VP thread pool, if any)."""
+        """Release runtime resources: the worker pool and shared-memory
+        segments of the process executor (a no-op under the inline
+        executor; see :meth:`PpmRuntime.close`)."""
         self.runtime.close()
 
     def __enter__(self) -> "PpmProgram":
@@ -223,11 +219,15 @@ class PpmProgram:
         )
 
 
+#: Options removed from ``run_ppm``; ``**kwargs`` would otherwise
+#: forward them to the driver, so they are rejected by name.
+_RETIRED_OPTIONS = frozenset({"vp_executor", "snapshot", "zero_merge"})
+
+
 def run_ppm(
     main: Callable,
     cluster: Cluster,
     *args: object,
-    vp_executor: str = "sequential",
     sanitize: str | bool | None = None,
     trace: "PhaseTrace | bool | None" = None,
     hot_path: str = "fast",
@@ -236,9 +236,7 @@ def run_ppm(
     resilience=None,
     executor: str = "inline",
     workers: int | None = None,
-    zero_merge: bool = True,
     supervision=None,
-    snapshot: str = "full",
     **kwargs: object,
 ):
     """Run a PPM application.
@@ -249,10 +247,6 @@ def run_ppm(
         Driver function, called as ``main(ppm, *args, **kwargs)``.
     cluster:
         The simulated machine.
-    vp_executor:
-        ``"sequential"`` (default) or ``"threads"`` — run VP phase
-        bodies as real threads (identical results and simulated
-        times; see :class:`~repro.core.runtime.PpmRuntime`).
     sanitize:
         ``None`` (default, off), ``"warn"``/``True`` (record
         phase-conflict diagnostics on ``ppm.diagnostics``),
@@ -273,7 +267,7 @@ def run_ppm(
         simulated results or times.
     hot_path:
         ``"fast"`` (default) — zero-copy snapshot reads, vectorized
-        commit, lock elision in the sequential engine; or ``"legacy"``
+        commit, inlined access recording; or ``"legacy"``
         — copy-on-read and one-op-at-a-time commit replay (reference
         semantics).  Results and simulated times are bitwise identical
         either way; see :class:`~repro.core.runtime.PpmRuntime`.
@@ -303,23 +297,17 @@ def run_ppm(
         a pool of worker processes mapping the shared arrays through
         :mod:`multiprocessing.shared_memory` (committed arrays and
         simulated times stay bitwise-identical; see docs/PARALLEL.md).
-        Requires a picklable kernel and arguments
-        (:class:`~repro.core.errors.ParallelConfigError` ``PPM501``)
-        and cannot combine with ``vp_executor="threads"``
-        (``PPM503``).
+        Rounds whose kernel carries a static conflict-freedom
+        certificate commit worker-side, in place, into the
+        shared-memory segments (zero-merge commit); uncertified rounds
+        and ``sanitize="warn"``/``"strict"`` runs ship their operation
+        records to the parent instead.  Requires a picklable kernel
+        and arguments
+        (:class:`~repro.core.errors.ParallelConfigError` ``PPM501``).
     workers:
         Worker process count for ``executor="process"`` (default:
         :func:`repro.parallel.default_workers`, the CPU count clamped
         to [2, 8]).  Ignored under the inline executor.
-    zero_merge:
-        ``True`` (default): under ``executor="process"``, phase rounds
-        whose kernel carries a static conflict-freedom certificate
-        commit worker-side, in place, into the shared-memory segments
-        — the reply shrinks to a fixed-size digest and the parent
-        ships no operation stream at all.  ``False`` forces every
-        round through the record-shipping replay path (results are
-        bitwise-identical either way; see docs/PARALLEL.md).  Ignored
-        under the inline executor.
     supervision:
         ``None`` (default) or a
         :class:`~repro.parallel.supervisor.SupervisionPolicy` —
@@ -335,21 +323,6 @@ def run_ppm(
         (:class:`~repro.core.errors.ParallelConfigError` ``PPM602``);
         without it a worker death raises
         :class:`~repro.core.errors.WorkerDeathError` (``PPM603``).
-    snapshot:
-        ``"full"`` (default) — every phase commit with outstanding
-        snapshot views pays copy-on-commit; or ``"pruned"`` — shared
-        arrays whose liveness certificate
-        (:mod:`repro.analysis.liveness`) proves every view dies inside
-        its own phase segment commit *in place*, skipping the copy
-        (and, under ``executor="process"``, the shared-memory segment
-        swap).  Committed arrays and simulated times stay
-        bitwise-identical; the skipped copies surface as
-        :class:`~repro.obs.events.SnapshotPruned` events and the
-        report's snapshot-pruning summary.  Kernels without a
-        certificate — and all runs with ``resilience``/``faults`` or
-        ``supervision`` configured — silently keep the full snapshot
-        protocol (pruning is an optimization, never a semantics
-        change; see docs/ANALYSIS.md).
 
     With ``faults``, ``checkpoint_every`` and ``resilience`` all
     ``None`` (the default), this takes exactly the pre-resilience
@@ -361,14 +334,22 @@ def run_ppm(
         The program object (for ``elapsed``, ``trace``, shared
         registry) and ``main``'s return value.
     """
+    retired = _RETIRED_OPTIONS.intersection(kwargs)
+    if retired:
+        raise TypeError(
+            f"run_ppm() got retired option(s) {sorted(retired)}: phase "
+            "bodies always run on the sequential engine (or the process "
+            "executor), snapshots always copy on commit, and certified "
+            "process rounds always commit in place"
+        )
     if supervision is None:
         return _run_once(
             main, cluster, args, kwargs,
-            vp_executor=vp_executor, sanitize=sanitize, trace=trace,
+            sanitize=sanitize, trace=trace,
             hot_path=hot_path, faults=faults,
             checkpoint_every=checkpoint_every, resilience=resilience,
-            executor=executor, workers=workers, zero_merge=zero_merge,
-            supervision=None, supervision_state=None, snapshot=snapshot,
+            executor=executor, workers=workers,
+            supervision=None, supervision_state=None,
         )
 
     # Supervised run: the degradation loop.  A _PoolDegradation escape
@@ -391,12 +372,11 @@ def run_ppm(
         try:
             return _run_once(
                 main, cluster, args, kwargs,
-                vp_executor=vp_executor, sanitize=sanitize, trace=trace,
+                sanitize=sanitize, trace=trace,
                 hot_path=hot_path, faults=faults,
                 checkpoint_every=checkpoint_every, resilience=resilience,
-                executor=executor, workers=workers, zero_merge=zero_merge,
+                executor=executor, workers=workers,
                 supervision=supervision, supervision_state=state,
-                snapshot=snapshot,
             )
         except _PoolDegradation as deg:
             state.degradations += 1
@@ -424,25 +404,21 @@ def run_ppm(
 
 def _run_once(
     main, cluster, args, kwargs, *,
-    vp_executor, sanitize, trace, hot_path, faults, checkpoint_every,
-    resilience, executor, workers, zero_merge, supervision,
-    supervision_state, snapshot,
+    sanitize, trace, hot_path, faults, checkpoint_every,
+    resilience, executor, workers, supervision, supervision_state,
 ):
     """One complete driver execution (one pool configuration); the
     body ``run_ppm`` wraps in its supervised degradation loop."""
     if faults is None and checkpoint_every is None and resilience is None:
         ppm = PpmProgram(
             cluster,
-            vp_executor=vp_executor,
             sanitize=sanitize,
             trace=trace,
             hot_path=hot_path,
             executor=executor,
             workers=workers,
-            zero_merge=zero_merge,
             supervision=supervision,
             supervision_state=supervision_state,
-            snapshot=snapshot,
         )
         try:
             result = main(ppm, *args, **kwargs)
@@ -473,17 +449,14 @@ def _run_once(
     for _ in range(manager.policy.max_incarnations):
         ppm = PpmProgram(
             cluster,
-            vp_executor=vp_executor,
             sanitize=sanitize,
             trace=trace,
             hot_path=hot_path,
             resilience=manager,
             executor=executor,
             workers=workers,
-            zero_merge=zero_merge,
             supervision=supervision,
             supervision_state=supervision_state,
-            snapshot=snapshot,
         )
         manager.begin_incarnation(ppm.runtime)
         try:

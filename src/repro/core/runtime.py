@@ -19,8 +19,6 @@ in the cluster's logical clocks.
 from __future__ import annotations
 
 import inspect
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Sequence
@@ -50,12 +48,7 @@ from repro.core.shared import GlobalShared, RowSpec
 from repro.core.vp import VpContext, core_of
 from repro.machine.cluster import Cluster
 from repro.machine.network import ZERO_COST
-from repro.obs.events import (
-    NodeSlice,
-    PhaseBegin,
-    PhaseCommit,
-    SnapshotPruned,
-)
+from repro.obs.events import NodeSlice, PhaseBegin, PhaseCommit
 
 
 class _VpRecord:
@@ -109,43 +102,28 @@ class DoStats:
 class PpmRuntime:
     """Shared-variable registry plus the phase execution engine.
 
-    ``vp_executor`` selects how phase bodies run: ``"sequential"``
-    (default, fully deterministic single-thread engine) or
-    ``"threads"`` — VPs execute as real threads, the paper's "think of
-    them as threads" reading.  Both modes produce identical results
-    and identical simulated times: phase bodies are independent by
-    construction (snapshot reads, buffered writes), recording is
-    lock-protected, and the commit still applies writes in global-VP-
-    rank order.
+    Phase bodies run one VP at a time on the calling thread — the
+    paper's VP-work-as-loops mapping — so execution is fully
+    deterministic; the ``"process"`` executor distributes the same
+    bodies over worker processes with bitwise-identical results.
     """
 
     def __init__(
         self,
         cluster: Cluster,
         *,
-        vp_executor: str = "sequential",
         sanitize: str | bool | None = None,
         trace=None,
         hot_path: str = "fast",
         resilience=None,
         executor: str = "inline",
         workers: int | None = None,
-        zero_merge: bool = True,
         supervision=None,
         supervision_state=None,
-        snapshot: str = "full",
     ) -> None:
-        if vp_executor not in ("sequential", "threads"):
-            raise ValueError(
-                f"vp_executor must be 'sequential' or 'threads', got {vp_executor!r}"
-            )
         if hot_path not in ("fast", "legacy"):
             raise ValueError(
                 f"hot_path must be 'fast' or 'legacy', got {hot_path!r}"
-            )
-        if snapshot not in ("full", "pruned"):
-            raise ValueError(
-                f"snapshot must be 'full' or 'pruned', got {snapshot!r}"
             )
         if executor not in ("inline", "process"):
             raise ParallelConfigError(
@@ -153,19 +131,16 @@ class PpmRuntime:
                 code="PPM502",
             )
         if workers is not None:
-            if not isinstance(workers, (int, np.integer)) or workers < 1:
+            if (
+                isinstance(workers, bool)
+                or not isinstance(workers, (int, np.integer))
+                or workers < 1
+            ):
                 raise ParallelConfigError(
                     f"workers must be a positive integer, got {workers!r}",
                     code="PPM502",
                 )
             workers = int(workers)
-        if executor == "process" and vp_executor == "threads":
-            raise ParallelConfigError(
-                "executor='process' already parallelises phase bodies "
-                "across worker processes; vp_executor='threads' cannot "
-                "be combined with it",
-                code="PPM503",
-            )
         if supervision is not None and executor != "process":
             raise ParallelConfigError(
                 "supervision= configures worker-process crash recovery "
@@ -202,10 +177,9 @@ class PpmRuntime:
 
             self.shm = ShmRegistry()
         self.cluster = cluster
-        self.vp_executor = vp_executor
         #: Hot-path selector.  ``"fast"`` (default) enables zero-copy
-        #: snapshot reads, the vectorized commit engine and sequential
-        #: lock elision; ``"legacy"`` restores copy-on-read and
+        #: snapshot reads, the vectorized commit engine and inlined
+        #: access recording; ``"legacy"`` restores copy-on-read and
         #: one-op-at-a-time commit replay — the reference semantics the
         #: property tests and the wall-clock benchmark's "before"
         #: column run against.  Both produce bitwise-identical
@@ -221,14 +195,6 @@ class PpmRuntime:
         self.commit_plans = (
             CommitPlanCache() if self.commit_engine == "vectorized" else None
         )
-        #: Zero-merge commit switch (``executor="process"`` only):
-        #: rounds whose phases carry a conflict-freedom certificate
-        #: commit worker-side, straight into the shared-memory
-        #: segments, and reply with a fixed-size digest.  ``False``
-        #: forces every round through the record-shipping replay path —
-        #: the documented escape hatch, and what the equivalence tests
-        #: diff the zero-merge path against.
-        self.zero_merge = zero_merge
         #: Observability event bus (:class:`repro.obs.PhaseTrace`), or
         #: None.  Every instrumented site is gated on a single
         #: ``tracer is not None`` test, so the untraced default path
@@ -269,38 +235,14 @@ class PpmRuntime:
         #: Phase rounds that ran under a static overlap certificate
         #: (dynamic conflict check skipped, comm certified-overlappable).
         self.stats_certified_phases = 0
-        #: Snapshot engine selector: ``"full"`` (default — every commit
-        #: with outstanding views pays copy-on-commit) or ``"pruned"``
-        #: — commits of arrays the liveness certificate
-        #: (:mod:`repro.analysis.liveness`) proved unread before their
-        #: next overwrite apply in place, skipping the copy.  Committed
-        #: arrays and simulated times are bitwise-identical either way.
-        self.snapshot = snapshot
-        #: Names of shared variables the active kernel's liveness
-        #: certificate allows to commit in place (``snapshot="pruned"``
-        #: only; empty otherwise).
-        self._prune_names: frozenset = frozenset()
-        #: Commits that skipped copy-on-commit under
-        #: ``snapshot="pruned"``, and the copy bytes avoided.
-        self.stats_pruned_commits = 0
-        self.stats_pruned_bytes = 0
         #: Copy-on-commit swaps actually performed: host seconds spent
-        #: copying and bytes moved (what pruning removes).
+        #: copying and bytes moved.
         self.stats_commit_copy_s = 0.0
         self.stats_commit_copy_bytes = 0
         #: Certificate of the kernel currently inside ``do``, or None.
         self._active_cert = None
-        self._tls = threading.local()
-        # Seed the constructing thread so hot paths can read
-        # ``_tls.cursor`` directly (no getattr default needed).
-        self._tls.cursor = None
-        # Lock strategy, chosen once: the sequential engine records
-        # from a single thread and elides the lock entirely (a plain
-        # boolean branch, cheaper than entering even a no-op context
-        # manager on every shared-variable access).
-        self._record_lock = threading.Lock()
-        self._needs_lock = vp_executor == "threads" or hot_path == "legacy"
-        self._pool: ThreadPoolExecutor | None = None
+        #: The VP whose phase body is executing (None in driver code).
+        self.cursor: VpContext | None = None
         # Per-access cost constants, hoisted out of the recording hot
         # path (MachineConfig is frozen, so these cannot go stale).
         cfg = cluster.config
@@ -320,16 +262,6 @@ class PpmRuntime:
         self.profile: list[PhaseProfile] = []
 
     @property
-    def cursor(self) -> VpContext | None:
-        """The VP whose code is executing on *this* thread (None in
-        driver code)."""
-        return getattr(self._tls, "cursor", None)
-
-    @cursor.setter
-    def cursor(self, value: VpContext | None) -> None:
-        self._tls.cursor = value
-
-    @property
     def config(self) -> MachineConfig:
         return self.cluster.config
 
@@ -342,15 +274,12 @@ class PpmRuntime:
     # Lifecycle
     # ==================================================================
     def close(self) -> None:
-        """Release runtime resources: the lazily created VP thread pool
-        of the ``"threads"`` executor, and — under the process executor
-        — the worker process pool plus every shared-memory segment.
-        Idempotent, and reached on *every* ``run_ppm`` exit path
-        (success, application crash, ``KeyboardInterrupt``), so no
-        worker process or ``/dev/shm`` segment outlives the program."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        """Release runtime resources: under the process executor, the
+        worker process pool plus every shared-memory segment (a no-op
+        under the inline executor).  Idempotent, and reached on *every*
+        ``run_ppm`` exit path (success, application crash,
+        ``KeyboardInterrupt``), so no worker process or ``/dev/shm``
+        segment outlives the program."""
         backend, self._backend = self._backend, None
         if backend is not None:
             backend.close()
@@ -383,11 +312,7 @@ class PpmRuntime:
         if ctx is None:
             ctx = self.cursor
         ctx._cost += self._access_call + n_elem * self._access_elem
-        if self._needs_lock:
-            with self._record_lock:
-                phase.add_global_read(ctx.node_id, shared, rows, n_elem)
-        else:
-            phase.add_global_read(ctx.node_id, shared, rows, n_elem)
+        phase.add_global_read(ctx.node_id, shared, rows, n_elem)
 
     def record_global_write(
         self,
@@ -408,15 +333,9 @@ class PpmRuntime:
         if ctx is None:
             ctx = self.cursor
         ctx._cost += self._access_call + n_elem * self._access_elem
-        if self._needs_lock:
-            with self._record_lock:
-                phase.add_global_write(
-                    ctx.node_id, shared, rows, n_elem, ctx.global_rank, event
-                )
-        else:
-            phase.add_global_write(
-                ctx.node_id, shared, rows, n_elem, ctx.global_rank, event
-            )
+        phase.add_global_write(
+            ctx.node_id, shared, rows, n_elem, ctx.global_rank, event
+        )
 
     def record_node_read(self, shared, n_elem: int, ctx=None) -> None:
         phase = self.phase
@@ -425,11 +344,7 @@ class PpmRuntime:
         if ctx is None:
             ctx = self.cursor
         ctx._cost += self._access_call + n_elem * self._node_access_elem
-        if self._needs_lock:
-            with self._record_lock:
-                phase.add_node_read(n_elem)
-        else:
-            phase.add_node_read(n_elem)
+        phase.add_node_read(n_elem)
 
     def record_node_write(self, shared, n_elem: int, event=None, ctx=None) -> None:
         phase = self.phase
@@ -438,11 +353,7 @@ class PpmRuntime:
         if ctx is None:
             ctx = self.cursor
         ctx._cost += self._access_call + n_elem * self._node_access_elem
-        if self._needs_lock:
-            with self._record_lock:
-                phase.add_node_write(ctx.node_id, n_elem, ctx.global_rank, event)
-        else:
-            phase.add_node_write(ctx.node_id, n_elem, ctx.global_rank, event)
+        phase.add_node_write(ctx.node_id, n_elem, ctx.global_rank, event)
 
     def record_collective(self, ctx: VpContext, kind: str, value: object, op) -> CollectiveHandle:
         phase = self.phase
@@ -453,22 +364,17 @@ class PpmRuntime:
         # (the recorder of a node phase belongs to a single node, so
         # the same slot machinery scopes it naturally).
         index = ctx._coll_index
-        if self._needs_lock:
-            with self._record_lock:
-                slot = phase.collective_slot(index, kind, op)
-                handle = slot.add(ctx.global_rank, value)
+        slots = phase.collective_slots
+        if index < len(slots):
+            slot = slots[index]
+            # Identity match is the common case; the full
+            # compatibility check handles equal-but-distinct ops.
+            if kind != slot.kind or op is not slot.op:
+                slot.check_compatible(kind, op)
         else:
-            slots = phase.collective_slots
-            if index < len(slots):
-                slot = slots[index]
-                # Identity match is the common case; the full
-                # compatibility check handles equal-but-distinct ops.
-                if kind != slot.kind or op is not slot.op:
-                    slot.check_compatible(kind, op)
-            else:
-                slot = phase.collective_slot(index, kind, op)
-            handle = CollectiveHandle(slot.kind)
-            slot.entries.append((ctx.global_rank, value, handle))
+            slot = phase.collective_slot(index, kind, op)
+        handle = CollectiveHandle(slot.kind)
+        slot.entries.append((ctx.global_rank, value, handle))
         ctx._coll_index = index + 1
         # Contribution cost: one runtime-library call.
         ctx._cost += self._access_call
@@ -510,26 +416,12 @@ class PpmRuntime:
             self.sanitize_auto
             or self.config.certified_overlap_fraction is not None
             or self.executor == "process"
-            or self.snapshot == "pruned"
         ):
             distinct = {id(f) for f in funcs if f is not None}
             if len(distinct) == 1 and funcs[0] is not None:
                 from repro.analysis.certify import certificate_for
 
                 self._active_cert = certificate_for(funcs[0], args, kwargs)
-        # Snapshot pruning: arm the in-place commit for the arrays this
-        # kernel's liveness certificate proved safe.  Resilience
-        # checkpoints and supervised replays both lean on pre-commit
-        # copies existing, so either feature disables pruning outright.
-        self._prune_names = frozenset()
-        if (
-            self.snapshot == "pruned"
-            and self._active_cert is not None
-            and self.resilience is None
-            and self.supervision is None
-        ):
-            self._prune_names = self._active_cert.prunable
-
         # Process backend, created lazily at the first do (workers fork
         # after driver-level setup, inheriting the shm mappings warm).
         backend = self._backend
@@ -695,8 +587,7 @@ class PpmRuntime:
         phase (or the prologue) up to the next phase declaration."""
         if vp.done:
             return
-        tls = self._tls
-        tls.cursor = vp.ctx
+        self.cursor = vp.ctx
         try:
             decl = next(vp.gen)
         except StopIteration:
@@ -711,7 +602,7 @@ class PpmRuntime:
                 phase_index=vp.phase_index,
             ) from exc
         finally:
-            tls.cursor = None
+            self.cursor = None
         if not isinstance(decl, PhaseDecl):
             raise PhaseUsageError(
                 f"PPM functions must yield phase declarations "
@@ -733,37 +624,34 @@ class PpmRuntime:
         self._assign_cores(vps)
         self.phase = recorder
         try:
-            if self.vp_executor == "threads":
-                self._execute_threaded(recorder, vps)
-            else:
-                tr = recorder.tracer
-                core_costs = recorder.core_costs
-                # VPs arrive node-major, so the inner per-core dict is
-                # fetched once per node run.  Costs still accumulate
-                # one VP at a time — the float summation order is part
-                # of the bitwise-identity contract.
-                run_node = -1
-                inner = None
-                for vp in vps:
-                    if vp.done:
-                        continue
-                    ctx = vp.ctx
-                    ctx._cost = 0.0
-                    ctx._coll_index = 0
-                    self._advance(vp)
-                    cost = ctx._cost
-                    if tr is not None:
-                        recorder.add_vp_cost(
-                            ctx.node_id, ctx.core_id, cost, vp=ctx.global_rank
-                        )
-                    elif cost:
-                        if ctx.node_id != run_node:
-                            run_node = ctx.node_id
-                            inner = core_costs[run_node]
-                        core = ctx.core_id
-                        inner[core] = inner.get(core, 0.0) + cost
-                    vp.last_cost = cost
-                    ctx._cost = 0.0
+            tr = recorder.tracer
+            core_costs = recorder.core_costs
+            # VPs arrive node-major, so the inner per-core dict is
+            # fetched once per node run.  Costs still accumulate one VP
+            # at a time — the float summation order is part of the
+            # bitwise-identity contract.
+            run_node = -1
+            inner = None
+            for vp in vps:
+                if vp.done:
+                    continue
+                ctx = vp.ctx
+                ctx._cost = 0.0
+                ctx._coll_index = 0
+                self._advance(vp)
+                cost = ctx._cost
+                if tr is not None:
+                    recorder.add_vp_cost(
+                        ctx.node_id, ctx.core_id, cost, vp=ctx.global_rank
+                    )
+                elif cost:
+                    if ctx.node_id != run_node:
+                        run_node = ctx.node_id
+                        inner = core_costs[run_node]
+                    core = ctx.core_id
+                    inner[core] = inner.get(core, 0.0) + cost
+                vp.last_cost = cost
+                ctx._cost = 0.0
         finally:
             self.phase = None
 
@@ -792,42 +680,6 @@ class PpmRuntime:
                 continue  # no history yet: keep the static chunks
             for vp in node_vps:
                 vp.ctx.core_id = assignment[vp.ctx.node_rank]
-
-    def _execute_threaded(self, recorder: PhaseRecorder, vps: list[_VpRecord]) -> None:
-        """Run phase bodies as real threads (the paper's VPs-as-
-        threads reading).  Results and times match the sequential
-        engine: bodies only see the snapshot, recording is locked, and
-        the rank-ordered commit makes the outcome order-independent."""
-        if self._pool is None:
-            import os
-
-            self._pool = ThreadPoolExecutor(
-                max_workers=max(2, min(16, os.cpu_count() or 4)),
-                thread_name_prefix="ppm-vp",
-            )
-
-        def run_one(vp: _VpRecord):
-            if vp.done:
-                return None
-            ctx = vp.ctx
-            ctx._cost = 0.0
-            ctx._coll_index = 0
-            try:
-                self._advance(vp)
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                return exc
-            with self._record_lock:
-                recorder.add_vp_cost(
-                    ctx.node_id, ctx.core_id, ctx._cost, vp=ctx.global_rank
-                )
-            vp.last_cost = ctx._cost
-            ctx._cost = 0.0
-            return None
-
-        errors = list(self._pool.map(run_one, vps))
-        for vp, err in zip(vps, errors):
-            if err is not None:
-                raise err
 
     # ------------------------------------------------------------------
     def _run_global_phase(
@@ -885,25 +737,13 @@ class PpmRuntime:
         # zero-merge groups commit worker-side (write_ops stays empty
         # and apply_writes below no-ops), fallback groups ship their
         # operations into the recorder for the unchanged path.
-        p0, b0 = self.stats_pruned_commits, self.stats_pruned_bytes
         if self._backend is not None:
             self._backend.finish_commit(recorder, None)
         if self.sanitizer is not None and not (certified and self.sanitize_auto):
             self.sanitizer.check_phase(recorder, phase_index=phase_index)
         if certified:
             self.stats_certified_phases += 1
-        prune = self._prune_names
-        recorder.apply_writes(
-            engine=self.commit_engine, plans=self.commit_plans, prune=prune
-        )
-        if tr is not None and self.stats_pruned_commits > p0:
-            tr.emit(
-                SnapshotPruned(
-                    phase=phase_index,
-                    commits=self.stats_pruned_commits - p0,
-                    bytes_avoided=self.stats_pruned_bytes - b0,
-                )
-            )
+        recorder.apply_writes(engine=self.commit_engine, plans=self.commit_plans)
         n_contrib = recorder.resolve_collectives()
         args = (recorder, phase_index, certified, n_contrib, len(body_vps), res, tr)
         if self._backend is None:
@@ -1122,26 +962,13 @@ class PpmRuntime:
             )
         self._execute_phase_bodies(recorder, node_vps)
 
-        p0, b0 = self.stats_pruned_commits, self.stats_pruned_bytes
         if self._backend is not None:
             self._backend.finish_commit(recorder, node_id)
         if self.sanitizer is not None and not (certified and self.sanitize_auto):
             self.sanitizer.check_phase(recorder, phase_index=phase_index)
         if certified:
             self.stats_certified_phases += 1
-        recorder.apply_writes(
-            engine=self.commit_engine,
-            plans=self.commit_plans,
-            prune=self._prune_names,
-        )
-        if tr is not None and self.stats_pruned_commits > p0:
-            tr.emit(
-                SnapshotPruned(
-                    phase=phase_index,
-                    commits=self.stats_pruned_commits - p0,
-                    bytes_avoided=self.stats_pruned_bytes - b0,
-                )
-            )
+        recorder.apply_writes(engine=self.commit_engine, plans=self.commit_plans)
         n_contrib = recorder.resolve_collectives()
         args = (node_id, recorder, phase_index, certified, n_contrib, t0, res, tr)
         if self._backend is None:

@@ -488,7 +488,6 @@ class GlobalShared(_SharedBase):
         *,
         force: bool = False,
         retain: bool = False,
-        prune: bool = False,
     ) -> np.ndarray:
         """The array buffered writes should apply to.
 
@@ -502,20 +501,8 @@ class GlobalShared(_SharedBase):
         keeps the superseded segment attachable — the supervised
         process backend uses both so a pristine pre-commit copy always
         exists to replay a crashed worker's commit from.
-
-        ``prune`` commits in place: the liveness certificate
-        (:mod:`repro.analysis.liveness`) proved no view of this array
-        outlives the phase segment it was taken in, so the copy the
-        guard would make can never be observed — skip it.  Supervised
-        (``force``) commits never prune; their pre-commit copy is the
-        crash-replay source, not a snapshot-consistency guard.
         """
         rt = self.runtime
-        if prune and not force and self._views_taken:
-            self._views_taken = False
-            rt.stats_pruned_commits += 1
-            rt.stats_pruned_bytes += self._data.nbytes
-            return self._data
         if self._views_taken or force:
             self._views_taken = False
             shm = rt.shm
@@ -541,10 +528,7 @@ class GlobalShared(_SharedBase):
     # -- access ----------------------------------------------------------
     def __getitem__(self, idx):
         rt = self.runtime
-        try:
-            ctx = rt._tls.cursor
-        except AttributeError:
-            ctx = None
+        ctx = rt.cursor
         if ctx is None:
             return self._copy_out(self._data[idx])
         if rt.zero_copy_reads:
@@ -557,16 +541,12 @@ class GlobalShared(_SharedBase):
             if phase is None:
                 rt._require_phase()
             ctx._cost += cost
-            if rt._needs_lock:
-                with rt._record_lock:
-                    phase.add_global_read(ctx.node_id, self, rows, n_elem)
-            else:
-                recs = phase.global_read_recs
-                rec = recs.get((ctx.node_id, self))
-                if rec is None:
-                    rec = recs[(ctx.node_id, self)] = [[], 0]
-                rec[0].append(rows)
-                rec[1] += n_elem
+            recs = phase.global_read_recs
+            rec = recs.get((ctx.node_id, self))
+            if rec is None:
+                rec = recs[(ctx.node_id, self)] = [[], 0]
+            rec[0].append(rows)
+            rec[1] += n_elem
             value = data[idx]
             if view_kind:
                 if isinstance(value, np.ndarray):
@@ -586,10 +566,7 @@ class GlobalShared(_SharedBase):
 
     def __setitem__(self, idx, value) -> None:
         rt = self.runtime
-        try:
-            ctx = rt._tls.cursor
-        except AttributeError:
-            ctx = None
+        ctx = rt.cursor
         if ctx is None:
             self._data[idx] = value
             return
@@ -611,20 +588,14 @@ class GlobalShared(_SharedBase):
                     "phase; use a global phase"
                 )
             ctx._cost += cost
-            if rt._needs_lock:
-                with rt._record_lock:
-                    phase.add_global_write(
-                        ctx.node_id, self, rows, n_elem, rank, event
-                    )
-            else:
-                recs = phase.global_write_recs
-                rec = recs.get((ctx.node_id, self))
-                if rec is None:
-                    rec = recs[(ctx.node_id, self)] = [[], 0]
-                rec[0].append(rows)
-                rec[1] += n_elem
-                event.seq = phase._seq = phase._seq + 1
-                phase.write_ops.append(event)
+            recs = phase.global_write_recs
+            rec = recs.get((ctx.node_id, self))
+            if rec is None:
+                rec = recs[(ctx.node_id, self)] = [[], 0]
+            rec[0].append(rows)
+            rec[1] += n_elem
+            event.seq = phase._seq = phase._seq + 1
+            phase.write_ops.append(event)
             return
         rows = _normalize_rows(idx, self.shape[0])
         n_elem = self._count_elements(idx, rows, self._data)
@@ -647,10 +618,7 @@ class GlobalShared(_SharedBase):
                 f"unknown accumulate op {op!r}; expected one of {sorted(ACCUMULATE_UFUNCS)}"
             ) from None
         rt = self.runtime
-        try:
-            ctx = rt._tls.cursor
-        except AttributeError:
-            ctx = None
+        ctx = rt.cursor
         if ctx is None:
             ufunc.at(self._data, rows, values)
             return
@@ -673,20 +641,14 @@ class GlobalShared(_SharedBase):
                     "phase; use a global phase"
                 )
             ctx._cost += rt._access_call + n_elem * rt._access_elem
-            if rt._needs_lock:
-                with rt._record_lock:
-                    phase.add_global_write(
-                        ctx.node_id, self, spec, n_elem, rank, event
-                    )
-            else:
-                recs = phase.global_write_recs
-                rec = recs.get((ctx.node_id, self))
-                if rec is None:
-                    rec = recs[(ctx.node_id, self)] = [[], 0]
-                rec[0].append(spec)
-                rec[1] += n_elem
-                event.seq = phase._seq = phase._seq + 1
-                phase.write_ops.append(event)
+            recs = phase.global_write_recs
+            rec = recs.get((ctx.node_id, self))
+            if rec is None:
+                rec = recs[(ctx.node_id, self)] = [[], 0]
+            rec[0].append(spec)
+            rec[1] += n_elem
+            event.seq = phase._seq = phase._seq + 1
+            phase.write_ops.append(event)
             return
         spec = _normalize_rows(rows, self.shape[0])
         rows_exact = _rows_exact(rows)
@@ -776,16 +738,10 @@ class NodeShared(_SharedBase):
         *,
         force: bool = False,
         retain: bool = False,
-        prune: bool = False,
     ) -> np.ndarray:
         """Node-level copy-on-commit (see
         :meth:`GlobalShared._commit_target`)."""
         rt = self.runtime
-        if prune and not force and self._views_taken[instance]:
-            self._views_taken[instance] = False
-            rt.stats_pruned_commits += 1
-            rt.stats_pruned_bytes += self._data[instance].nbytes
-            return self._data[instance]
         if self._views_taken[instance] or force:
             self._views_taken[instance] = False
             shm = rt.shm
@@ -806,10 +762,7 @@ class NodeShared(_SharedBase):
 
     def __getitem__(self, idx):
         rt = self.runtime
-        try:
-            ctx = rt._tls.cursor
-        except AttributeError:
-            ctx = None
+        ctx = rt.cursor
         if ctx is None:
             self._current_node()  # raises the driver-level usage error
         node = ctx.node_id
@@ -820,12 +773,8 @@ class NodeShared(_SharedBase):
             if phase is None:
                 rt._require_phase()
             ctx._cost += cost
-            if rt._needs_lock:
-                with rt._record_lock:
-                    phase.add_node_read(n_elem)
-            else:
-                phase.node_read_ops += 1
-                phase.node_read_elems += n_elem
+            phase.node_read_ops += 1
+            phase.node_read_elems += n_elem
             value = data[idx]
             if view_kind:
                 if isinstance(value, np.ndarray):
@@ -845,10 +794,7 @@ class NodeShared(_SharedBase):
 
     def __setitem__(self, idx, value) -> None:
         rt = self.runtime
-        try:
-            ctx = rt._tls.cursor
-        except AttributeError:
-            ctx = None
+        ctx = rt.cursor
         if ctx is None:
             self._current_node()
         node = ctx.node_id
@@ -865,13 +811,9 @@ class NodeShared(_SharedBase):
             if phase is None:
                 rt._require_phase()
             ctx._cost += cost
-            if rt._needs_lock:
-                with rt._record_lock:
-                    phase.add_node_write(node, n_elem, rank, event)
-            else:
-                phase.node_write_elems[node] += n_elem
-                event.seq = phase._seq = phase._seq + 1
-                phase.write_ops.append(event)
+            phase.node_write_elems[node] += n_elem
+            event.seq = phase._seq = phase._seq + 1
+            phase.write_ops.append(event)
             return
         rows = _normalize_rows(idx, self.shape[0])
         n_elem = self._count_elements(idx, rows, self._data[node])
@@ -890,10 +832,7 @@ class NodeShared(_SharedBase):
                 f"unknown accumulate op {op!r}; expected one of {sorted(ACCUMULATE_UFUNCS)}"
             )
         rt = self.runtime
-        try:
-            ctx = rt._tls.cursor
-        except AttributeError:
-            ctx = None
+        ctx = rt.cursor
         if ctx is None:
             self._current_node()
         node = ctx.node_id
@@ -911,13 +850,9 @@ class NodeShared(_SharedBase):
             if phase is None:
                 rt._require_phase()
             ctx._cost += rt._access_call + n_elem * rt._node_access_elem
-            if rt._needs_lock:
-                with rt._record_lock:
-                    phase.add_node_write(node, n_elem, rank, event)
-            else:
-                phase.node_write_elems[node] += n_elem
-                event.seq = phase._seq = phase._seq + 1
-                phase.write_ops.append(event)
+            phase.node_write_elems[node] += n_elem
+            event.seq = phase._seq = phase._seq + 1
+            phase.write_ops.append(event)
             return
         spec = _normalize_rows(rows, self.shape[0])
         rows_exact = _rows_exact(rows)

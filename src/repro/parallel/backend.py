@@ -178,7 +178,6 @@ class ProcessBackend:
         # parent-side before writes apply.
         self._hold_ok = (
             rt._active_cert is not None
-            and rt.zero_merge
             and (rt.sanitizer is None or rt.sanitize_auto)
             and rt.commit_engine == "vectorized"
         )
@@ -646,7 +645,6 @@ class ProcessBackend:
         # accumulates are not idempotent, so a partial apply by the
         # dead worker must be overwritten, not re-applied.
         supervised = self.supervisor is not None
-        prune = rt._prune_names
         groups = []
         for node_key, (_certified, zero_merge) in sorted(
             self._round_flags.items(),
@@ -658,17 +656,8 @@ class ProcessBackend:
                     self._hold_wtargets.get(node_key, ()),
                     key=lambda t: (t[0], -1 if t[1] is None else t[1]),
                 ):
-                    # Pruned targets skip the pre-swap: the workers
-                    # commit straight into the live segment, and no
-                    # remap ships (the certificate proves no worker
-                    # view outlives its segment).  Supervised commits
-                    # never prune — the swapped copy is crash-replay
-                    # state.
                     registry[name]._commit_target(
-                        instance,
-                        force=supervised,
-                        retain=supervised,
-                        prune=not supervised and name in prune,
+                        instance, force=supervised, retain=supervised
                     )
             groups.append((node_key, decision))
         return {"groups": groups, "verify": self._verify}

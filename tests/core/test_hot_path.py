@@ -1,13 +1,13 @@
 """The fast hot path is an optimisation, not a semantics change.
 
 ``hot_path="fast"`` (zero-copy snapshot reads, the vectorized commit
-engine, sequential lock elision) must be observationally identical to
+engine, inlined access recording) must be observationally identical to
 ``hot_path="legacy"`` (copy-on-read, one-op-at-a-time commit replay):
 bitwise-equal committed arrays and bitwise-equal simulated times, for
 any program.  The hypothesis tests below throw randomly generated
 conflicting write/accumulate streams at both engines; the rest of the
 module pins down the zero-copy view semantics and two regressions
-(numpy-integer VP counts, thread-pool shutdown) fixed alongside the
+(numpy-integer VP counts, worker-pool shutdown) fixed alongside the
 overhaul.
 """
 
@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from repro.config import testing as mkconfig
 from repro.core import ppm_function, run_ppm
 from repro.machine import Cluster
+from repro.parallel.shm import live_ppm_segments
 
 N = 24  # rows of the shared array the generated programs target
 VPS = 4  # 2 nodes x 2 VPs
@@ -207,42 +208,40 @@ class TestNumpyIntVpCounts:
             run_ppm(main, _cluster())
 
 
-class TestRuntimeClose:
-    def test_threaded_pool_shut_down_by_run_ppm(self):
-        @ppm_function
-        def touch(ctx):
-            yield ctx.global_phase
+@ppm_function
+def _touch(ctx):
+    yield ctx.global_phase
 
+
+class TestRuntimeClose:
+    """The process executor's worker pool is the runtime's only
+    closeable resource."""
+
+    def test_worker_pool_shut_down_by_run_ppm(self):
         def main(ppm):
-            ppm.do(2, touch)
+            ppm.do(2, _touch)
             return ppm.runtime
 
-        _, runtime = run_ppm(main, _cluster(), vp_executor="threads")
-        assert runtime._pool is None  # run_ppm closed it
+        _, runtime = run_ppm(main, _cluster(), executor="process", workers=2)
+        assert runtime._backend is None  # run_ppm closed it
+        assert live_ppm_segments() == []
 
     def test_context_manager_closes_pool(self):
         from repro.core.program import PpmProgram
 
-        @ppm_function
-        def touch(ctx):
-            yield ctx.global_phase
-
-        with PpmProgram(_cluster(), vp_executor="threads") as ppm:
-            ppm.do(2, touch)
-            assert ppm.runtime._pool is not None
-        assert ppm.runtime._pool is None
+        with PpmProgram(_cluster(), executor="process", workers=2) as ppm:
+            ppm.do(2, _touch)
+            assert ppm.runtime._backend is not None
+        assert ppm.runtime._backend is None
 
     def test_close_is_idempotent_and_pool_recreated(self):
         from repro.core.program import PpmProgram
 
-        @ppm_function
-        def touch(ctx):
-            yield ctx.global_phase
-
-        ppm = PpmProgram(_cluster(), vp_executor="threads")
-        ppm.do(2, touch)
+        ppm = PpmProgram(_cluster(), executor="process", workers=2)
+        ppm.do(2, _touch)
         ppm.close()
         ppm.close()
-        ppm.do(2, touch)  # pool transparently recreated
-        assert ppm.runtime._pool is not None
+        ppm.do(2, _touch)  # pool transparently recreated
+        assert ppm.runtime._backend is not None
         ppm.close()
+        assert live_ppm_segments() == []

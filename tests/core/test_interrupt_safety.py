@@ -1,6 +1,7 @@
 """Interrupt safety of ``run_ppm``: a KeyboardInterrupt inside a VP
 body must propagate (not be swallowed or re-wrapped), must not leak a
-partial commit, and must leave no live worker pool behind."""
+partial commit, and must leave no live worker pool behind — on the
+sequential engine and on the process executor."""
 
 from __future__ import annotations
 
@@ -10,6 +11,10 @@ import pytest
 from repro.config import testing as mkconfig
 from repro.core import ppm_function, run_ppm
 from repro.machine import Cluster
+from repro.parallel.shm import live_ppm_segments
+
+#: run_ppm options per engine.
+ENGINES = {"sequential": {}, "process": {"executor": "process", "workers": 2}}
 
 
 def _cluster(**kw):
@@ -28,7 +33,7 @@ def _interrupting(ctx, A, interrupt):
     A[ctx.global_rank] = 3.0
 
 
-@pytest.mark.parametrize("executor", ["sequential", "threads"])
+@pytest.mark.parametrize("executor", list(ENGINES))
 class TestKeyboardInterrupt:
     def test_propagates_uncommitted(self, executor):
         """The interrupt surfaces as KeyboardInterrupt (BaseException
@@ -39,19 +44,23 @@ class TestKeyboardInterrupt:
         def main(ppm):
             A = ppm.global_shared("A", 4)
             A[:] = -1.0
-            state["A"] = A
-            ppm.do(2, _interrupting, A, interrupt=True)
+            try:
+                ppm.do(2, _interrupting, A, interrupt=True)
+            finally:
+                # Read before run_ppm's cleanup unmaps the process
+                # executor's segments.
+                state["A"] = A.committed
 
         with pytest.raises(KeyboardInterrupt):
-            run_ppm(main, _cluster(), vp_executor=executor)
-        committed = state["A"].committed
+            run_ppm(main, _cluster(), **ENGINES[executor])
+        committed = state["A"]
         # Phase 0 (writes of 1.0) committed; the interrupted phase 1
         # aborted before its barrier, so no element ever became 2.0.
         assert np.array_equal(committed, np.full(4, 1.0))
 
-    def test_thread_pool_shut_down(self, executor):
-        """run_ppm's cleanup must release the VP pool even when the
-        driver dies mid-phase."""
+    def test_worker_pool_shut_down(self, executor):
+        """run_ppm's cleanup must release the worker pool and its
+        shared-memory segments even when the driver dies mid-phase."""
         captured = {}
 
         def main(ppm):
@@ -60,8 +69,9 @@ class TestKeyboardInterrupt:
             ppm.do(2, _interrupting, A, interrupt=True)
 
         with pytest.raises(KeyboardInterrupt):
-            run_ppm(main, _cluster(), vp_executor=executor)
-        assert captured["runtime"]._pool is None
+            run_ppm(main, _cluster(), **ENGINES[executor])
+        assert captured["runtime"]._backend is None
+        assert live_ppm_segments() == []
 
     def test_clean_run_unaffected(self, executor):
         def main(ppm):
@@ -69,5 +79,5 @@ class TestKeyboardInterrupt:
             ppm.do(2, _interrupting, A, interrupt=False)
             return A.committed
 
-        _, a = run_ppm(main, _cluster(), vp_executor=executor)
+        _, a = run_ppm(main, _cluster(), **ENGINES[executor])
         assert np.array_equal(a, np.full(4, 3.0))

@@ -1,11 +1,13 @@
-"""Bitwise process-vs-inline equivalence, property-swept.
+"""Bitwise engine equivalence, property-swept.
 
 The backend's headline contract: for any kernel, seed and worker
 count, ``executor="process"`` commits bitwise-identical shared arrays
-and reports the identical simulated time as the inline executor.
-Hypothesis sweeps seeds and worker counts over the three Figure-1
-workloads (CG, BFS, multigrid) and a synthetic kernel exercising every
-recorded construct.
+and reports the identical simulated time as the inline executor — on
+both of its commit paths (certified rounds committing in place
+worker-side, and record shipping, which ``sanitize="strict"`` forces
+for every round).  Hypothesis sweeps seeds and worker counts over the
+engine matrix for the three Figure-1 workloads (CG, BFS, multigrid)
+and over a synthetic kernel exercising every recorded construct.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from repro.apps.multigrid import build_mg_problem, ppm_mg_solve
 from repro.config import manycore, testing as mkconfig
 from repro.core import run_ppm
 from repro.machine import Cluster
+from repro.parallel import backend as backend_mod
 from repro.parallel.shm import live_ppm_segments
 
 # Process pools fork real processes; a handful of examples with
@@ -75,37 +78,61 @@ class TestSyntheticEquivalence:
         assert live_ppm_segments() == []
 
 
+def _cg(seed, **opts):
+    prob = build_chimney_problem(6, 6, 4, seed=seed)
+    res, t = ppm_cg_solve(
+        prob, Cluster(manycore(n_nodes=4, cores_per_node=2)), max_iters=8,
+        **opts,
+    )
+    return res.x, t
+
+
+def _bfs(seed, **opts):
+    g = hashed_graph(128, degree=5, seed=seed)
+    return ppm_bfs(g, 0, Cluster(manycore(n_nodes=4, cores_per_node=2)), **opts)
+
+
+def _multigrid(seed, **opts):
+    prob = build_mg_problem(levels=3, seed=seed)
+    return ppm_mg_solve(
+        prob, Cluster(mkconfig(n_nodes=2, cores_per_node=2)), cycles=2, **opts
+    )
+
+
+#: Engines compared against the inline run: the process executor with
+#: its default zero-merge commit, and with record shipping forced.
+ENGINES = {
+    "process": {"executor": "process"},
+    "process-strict": {"executor": "process", "sanitize": "strict"},
+}
+
+
 class TestAppEquivalence:
+    """The engine matrix: {inline, process zero-merge, process record
+    shipping} x {CG, BFS, multigrid}."""
+
+    @staticmethod
+    def _check(app, seed, workers):
+        ref, t_ref = app(seed)
+        for name, opts in ENGINES.items():
+            out, t = app(seed, workers=workers, **opts)
+            assert t == t_ref, name
+            np.testing.assert_array_equal(out, ref, err_msg=name)
+            assert live_ppm_segments() == []
+            if opts.get("sanitize") == "strict":
+                assert backend_mod.LAST_RUN_STATS["zm_rounds"] == 0
+
     @SWEEP
     @given(seed=st.integers(1, 50), workers=st.integers(2, 4))
     def test_cg(self, seed, workers):
-        prob = build_chimney_problem(6, 6, 4, seed=seed)
-        cl = lambda: Cluster(manycore(n_nodes=4, cores_per_node=2))  # noqa: E731
-        r1, t1 = ppm_cg_solve(prob, cl(), max_iters=8)
-        r2, t2 = ppm_cg_solve(
-            prob, cl(), max_iters=8, executor="process", workers=workers
-        )
-        assert t1 == t2
-        np.testing.assert_array_equal(r1.x, r2.x)
+        self._check(_cg, seed, workers)
 
     @SWEEP
     @given(seed=st.integers(1, 50), workers=st.integers(2, 4))
     def test_bfs(self, seed, workers):
-        g = hashed_graph(128, degree=5, seed=seed)
-        cl = lambda: Cluster(manycore(n_nodes=4, cores_per_node=2))  # noqa: E731
-        d1, t1 = ppm_bfs(g, 0, cl())
-        d2, t2 = ppm_bfs(g, 0, cl(), executor="process", workers=workers)
-        assert t1 == t2
-        np.testing.assert_array_equal(d1, d2)
+        self._check(_bfs, seed, workers)
 
     @SWEEP
     @given(seed=st.integers(1, 50), workers=st.integers(2, 4))
     def test_multigrid(self, seed, workers):
-        prob = build_mg_problem(levels=3, seed=seed)
-        cl = lambda: Cluster(mkconfig(n_nodes=2, cores_per_node=2))  # noqa: E731
-        u1, t1 = ppm_mg_solve(prob, cl(), cycles=2)
-        u2, t2 = ppm_mg_solve(
-            prob, cl(), cycles=2, executor="process", workers=workers
-        )
-        assert t1 == t2
-        np.testing.assert_array_equal(u1, u2)
+        self._check(_multigrid, seed, workers)

@@ -83,7 +83,7 @@ class TestConfigErrors:
             run_ppm(main_mixed, _cluster(), executor="threads")
         assert ei.value.code == "PPM502"
 
-    @pytest.mark.parametrize("workers", [0, -3, 1.5, "four"])
+    @pytest.mark.parametrize("workers", [0, -3, 1.5, "four", True])
     def test_bad_workers_ppm502(self, workers):
         with pytest.raises(ParallelConfigError) as ei:
             run_ppm(main_mixed, _cluster(), executor="process", workers=workers)
@@ -94,13 +94,25 @@ class TestConfigErrors:
         with pytest.raises(ParallelConfigError):
             run_ppm(main_mixed, _cluster(), workers=0)
 
-    def test_vp_threads_combo_ppm503(self):
-        with pytest.raises(ParallelConfigError) as ei:
-            run_ppm(
-                main_mixed, _cluster(), executor="process",
-                vp_executor="threads",
-            )
-        assert ei.value.code == "PPM503"
+    @pytest.mark.parametrize(
+        "option",
+        [{"vp_executor": "threads"}, {"snapshot": "pruned"}, {"zero_merge": False}],
+        ids=["vp_executor", "snapshot", "zero_merge"],
+    )
+    def test_removed_options_rejected(self, option):
+        # The threaded VP executor, snapshot pruning and the zero-merge
+        # switch are gone; naming them is a TypeError, not a silent
+        # no-op (run_ppm would otherwise forward them to the driver).
+        from repro.core.program import PpmProgram
+        from repro.core.runtime import PpmRuntime
+
+        for build in (
+            lambda: run_ppm(main_mixed, _cluster(), **option),
+            lambda: PpmProgram(_cluster(), **option),
+            lambda: PpmRuntime(_cluster(), **option),
+        ):
+            with pytest.raises(TypeError):
+                build()
 
     def test_supervision_requires_process_ppm602(self):
         from repro.parallel import SupervisionPolicy
