@@ -14,6 +14,21 @@ replaying every buffered access one Python call at a time.
 Commit engine
 -------------
 
+On the inline fast path most targets never reach the engine: a target
+whose first write of a round finds a snapshot view outstanding is
+*written through* — copy-on-commit would copy it at the barrier
+anyway, so the copy is made at that first write and every later write
+or accumulate of the round applies to it in place
+(``GlobalShared._begin_writes``).  The inline engine runs VPs in
+global-rank order and each VP in program order, which is exactly the
+commit order below, so last-writer-wins and the ``ufunc.at``
+combination order are unchanged; the commit only swaps the written
+copy in.  The mode is fixed per target per round at its first write.
+Targets without an outstanding view at that point (a copy would be
+extra bytes), sanitized runs (the checker needs the event stream),
+``hot_path="legacy"`` and process workers buffer instead, into the
+engine below.
+
 Buffered operations sort once by ``(global VP rank, program order)``
 — the documented PPM conflict rule — and then partition by target
 array ``(shared, instance)``.  Operations on *different* targets never
@@ -34,6 +49,7 @@ target the ordered stream splits into maximal runs of one
 
 from __future__ import annotations
 
+import itertools
 import operator
 from collections import defaultdict
 from typing import TYPE_CHECKING
@@ -48,6 +64,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.shared import GlobalShared, NodeShared
 
 _RANK_KEY = operator.attrgetter("rank")
+
+#: Round serials: each recorder gets a fresh one, so a shared target
+#: can tell its first write of a round by comparing serials.
+_ROUND_SERIALS = itertools.count()
 
 
 def _flush_write_run(target: np.ndarray, run: list[WriteEvent]) -> None:
@@ -299,6 +319,11 @@ class PhaseRecorder:
     observability bus (:mod:`repro.obs`): when a tracer is attached,
     every VP resume reports a
     :class:`~repro.obs.events.VpScheduled` event.
+
+    ``write_through`` lets targets with an outstanding snapshot view
+    write through to their copy-on-commit copy instead of buffering
+    (see "Commit engine" above); only the inline fast path of an
+    unsanitized run sets it.
     """
 
     def __init__(
@@ -308,11 +333,16 @@ class PhaseRecorder:
         *,
         tracer=None,
         phase_index: int = -1,
+        write_through: bool = False,
     ) -> None:
         self.kind = kind
         self.latency_rounds = latency_rounds
         self.tracer = tracer
         self.phase_index = phase_index
+        self.serial = next(_ROUND_SERIALS)
+        # (shared, instance) of every target written through this
+        # round; None when the round buffers every write.
+        self.write_through: list[tuple] | None = [] if write_through else None
         # (node id, shared) -> [list[RowSpec], exact element count].
         # One flat dict per direction instead of nested per-node maps:
         # recording is per-access, so every removed hash lookup counts.
@@ -321,7 +351,8 @@ class PhaseRecorder:
         # rescales row-derived counts by them.
         self.global_read_recs: dict[tuple, list] = {}
         self.global_write_recs: dict[tuple, list] = {}
-        # Buffered operations, one WriteEvent per __setitem__/accumulate.
+        # Buffered operations, one WriteEvent per __setitem__/accumulate
+        # that is not written through.
         self.write_ops: list[WriteEvent] = []
         self._seq = 0
         # node id -> elements written to node-shared instances there.
@@ -471,6 +502,16 @@ class PhaseRecorder:
         return slot
 
     # ------------------------------------------------------------------
+    def end_write_through(self, commit: bool) -> None:
+        """Close the round's written-through targets: swap each copy in
+        (``commit``), or drop it so the committed state stays the
+        phase-start cut (an aborted round)."""
+        wt = self.write_through
+        if wt:
+            for shared, instance in wt:
+                shared._end_writes(instance, commit)
+            wt.clear()
+
     def apply_writes(
         self,
         *,
@@ -488,7 +529,10 @@ class PhaseRecorder:
         are bitwise identical).  ``plans`` optionally supplies a
         :class:`CommitPlanCache` so iterative kernels pay index
         compilation once per access pattern instead of every round.
+        Written-through targets already hold their result and only
+        swap it in.
         """
+        self.end_write_through(commit=True)
         if not self.write_ops:
             return
         # write_ops is appended in seq order, so a stable sort on rank

@@ -266,10 +266,10 @@ def run_ppm(
         :class:`~repro.obs.metrics.RunReport`.  Tracing never changes
         simulated results or times.
     hot_path:
-        ``"fast"`` (default) — zero-copy snapshot reads, vectorized
-        commit, inlined access recording; or ``"legacy"``
-        — copy-on-read and one-op-at-a-time commit replay (reference
-        semantics).  Results and simulated times are bitwise identical
+        ``"fast"`` (default) — zero-copy snapshot reads, write-through
+        commit, vectorized commit of buffered writes, inlined access
+        recording; or ``"legacy"`` — copy-on-read and one-op-at-a-time
+        commit replay (reference semantics).  Results and simulated times are bitwise identical
         either way; see :class:`~repro.core.runtime.PpmRuntime`.
     faults:
         ``None`` (default) or a

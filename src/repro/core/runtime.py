@@ -6,8 +6,9 @@ This is the reproduction of the paper's "light-weight runtime library"
 * the execution of ``PPM_do`` — VP generators advanced in lockstep
   phase rounds, with node phases running asynchronously per node and
   global phases synchronising the cluster;
-* the snapshot/commit shared-memory protocol (writes buffered during a
-  phase, applied in deterministic global-VP-rank order at the barrier);
+* the snapshot/commit shared-memory protocol (writes take effect at
+  the barrier in deterministic global-VP-rank order: buffered and
+  replayed there, or written through to the copy-on-commit copy);
 * cost accounting — per-access software overhead, VP→core loop
   scheduling, commit-time bundling of remote traffic, comm/compute
   overlap and NIC scheduling.
@@ -63,6 +64,22 @@ class _VpRecord:
         self.done = False
         self.phase_index = 0  # phases this VP has completed
         self.last_cost = 0.0  # measured cost of the previous phase
+
+
+class _ClosedRuntime:
+    """What a closed runtime leaves on its shared handles in place of
+    itself: everything driver-level access needs (the cluster, and no
+    executing VP), so driver code keeps using the handles after
+    ``run_ppm`` (``A[:]``, ``committed``, ``local_view``,
+    ``instance``) while the runtime, no longer on a reference cycle
+    with its handles, is freed by reference counting instead of
+    waiting for a full garbage collection."""
+
+    __slots__ = ("cluster",)
+    cursor = None
+
+    def __init__(self, cluster: Cluster) -> None:
+        self.cluster = cluster
 
 
 @dataclass(frozen=True)
@@ -178,12 +195,15 @@ class PpmRuntime:
             self.shm = ShmRegistry()
         self.cluster = cluster
         #: Hot-path selector.  ``"fast"`` (default) enables zero-copy
-        #: snapshot reads, the vectorized commit engine and inlined
+        #: snapshot reads, write-through commit (inline, unsanitized
+        #: runs: targets with an outstanding snapshot view take their
+        #: writes straight into the copy-on-commit copy), the
+        #: vectorized commit engine for buffered writes and inlined
         #: access recording; ``"legacy"`` restores copy-on-read and
-        #: one-op-at-a-time commit replay — the reference semantics the
-        #: property tests and the wall-clock benchmark's "before"
-        #: column run against.  Both produce bitwise-identical
-        #: committed arrays and simulated times.
+        #: buffers every write for one-op-at-a-time commit replay — the
+        #: reference semantics the property tests and the wall-clock
+        #: benchmark's "before" column run against.  Both produce
+        #: bitwise-identical committed arrays and simulated times.
         self.hot_path = hot_path
         self.zero_copy_reads = hot_path == "fast"
         self.commit_engine = "vectorized" if hot_path == "fast" else "legacy"
@@ -221,6 +241,12 @@ class PpmRuntime:
             self.sanitizer = PhaseSanitizer(
                 mode="strict" if sanitize == "auto" else sanitize
             )
+        # Write-through commit needs the VPs to run here, in commit
+        # order (not in workers), and no sanitizer (it checks the
+        # buffered event stream).
+        self._write_through = (
+            self.zero_copy_reads and self.sanitizer is None and self.shm is None
+        )
         #: Resilience orchestrator
         #: (:class:`repro.resilience.manager.ResilienceManager`), or
         #: None.  Like the tracer, every hook site is gated on a single
@@ -239,6 +265,10 @@ class PpmRuntime:
         #: copying and bytes moved.
         self.stats_commit_copy_s = 0.0
         self.stats_commit_copy_bytes = 0
+        #: Target-rounds committed by write-through (one per shared
+        #: array instance per round whose first write found a snapshot
+        #: view outstanding).
+        self.stats_write_through = 0
         #: Certificate of the kernel currently inside ``do``, or None.
         self._active_cert = None
         #: The VP whose phase body is executing (None in driver code).
@@ -279,12 +309,20 @@ class PpmRuntime:
         under the inline executor).  Idempotent, and reached on *every*
         ``run_ppm`` exit path (success, application crash,
         ``KeyboardInterrupt``), so no worker process or ``/dev/shm``
-        segment outlives the program."""
+        segment outlives the program.
+
+        Also cuts the runtime <-> shared-handle reference cycle: each
+        handle's ``runtime`` becomes a :class:`_ClosedRuntime`, so
+        once the program is dropped the runtime is freed at once.
+        :meth:`do` re-attaches the handles if the program runs again."""
         backend, self._backend = self._backend, None
         if backend is not None:
             backend.close()
         if self.shm is not None:
             self.shm.close()
+        closed = _ClosedRuntime(self.cluster)
+        for sv in self.shared_registry.values():
+            sv.runtime = closed
 
     def __enter__(self) -> "PpmRuntime":
         return self
@@ -405,6 +443,8 @@ class PpmRuntime:
         counts = self._normalize_counts(vp_counts, n_nodes)
         funcs = self._normalize_funcs(func, n_nodes)
         default_decl = PhaseDecl(phase, latency_rounds=latency_rounds)
+        for sv in self.shared_registry.values():
+            sv.runtime = self  # re-attach after close()
 
         # Static overlap certificate for this kernel (repro.analysis):
         # consulted per phase round to skip the dynamic conflict check
@@ -652,6 +692,12 @@ class PpmRuntime:
                     inner[core] = inner.get(core, 0.0) + cost
                 vp.last_cost = cost
                 ctx._cost = 0.0
+        except BaseException:
+            # An aborted round (VpProgramError, KeyboardInterrupt, ...)
+            # never commits: written-through copies are dropped with
+            # the buffered events.
+            recorder.end_write_through(commit=False)
+            raise
         finally:
             self.phase = None
 
@@ -701,7 +747,8 @@ class PpmRuntime:
             res.on_phase_start(phase_index, self)
         tr = self.tracer
         recorder = PhaseRecorder(
-            "global", latency_rounds, tracer=tr, phase_index=phase_index
+            "global", latency_rounds, tracer=tr, phase_index=phase_index,
+            write_through=self._write_through,
         )
         body_vps = [vp for n in active_nodes for vp in vps_by_node[n]]
         # A round is certified when every active VP sits at a yield the
@@ -938,7 +985,8 @@ class PpmRuntime:
             res.on_phase_start(phase_index, self)
         tr = self.tracer
         recorder = PhaseRecorder(
-            "node", latency_rounds, tracer=tr, phase_index=phase_index
+            "node", latency_rounds, tracer=tr, phase_index=phase_index,
+            write_through=self._write_through,
         )
         t0 = self.cluster.node(node_id).clock.now
         if self._backend is not None:

@@ -11,9 +11,9 @@ Two kinds, exactly as in the paper (section 3.1, item 1):
 
 Both support numpy "array syntax ... as in the mathematical
 algorithms" (paper section 3: "Implicit communication").  Inside a
-phase, reads return the phase-start snapshot and writes are buffered
-until the commit at the phase barrier; outside any phase (driver-level
-setup code) accesses apply directly and are not timed.
+phase, reads return the phase-start snapshot and writes take effect at
+the commit at the phase barrier; outside any phase (driver-level setup
+code) accesses apply directly and are not timed.
 
 Snapshot reads are **zero-copy**: a basic-index read inside a phase
 returns a read-only view of the committed store instead of a copy.
@@ -22,6 +22,14 @@ phase commit is about to overwrite rows that a still-live view aliases,
 the store swaps to a fresh buffer first, so the view keeps observing
 the phase-start values forever (docs/ARCHITECTURE.md, "Hot path &
 wall-clock performance").
+
+Writes are **write-through** where that copy is due anyway: when a
+target's first write of a round finds a snapshot view outstanding, the
+runtime makes the copy-on-commit copy right then and applies every
+write and accumulate of the round to it in place; the commit only
+swaps buffers.  Other targets buffer their writes as
+:class:`WriteEvent`\\ s and the commit engine (:mod:`repro.core.phase`)
+replays them.
 """
 
 from __future__ import annotations
@@ -124,11 +132,11 @@ class RowSpec:
 class WriteEvent:
     """Record of one buffered write or accumulate.
 
-    This is the commit engine's *universal* buffered-operation record:
-    every ``__setitem__``/``accumulate`` inside a phase creates one
-    (replacing the per-write Python closures of earlier revisions), the
-    vectorized commit batches them per target, and the phase-conflict
-    sanitizer classifies the very same objects when it is enabled.
+    This is the commit engine's buffered-operation record: every
+    ``__setitem__``/``accumulate`` inside a phase that is not written
+    through creates one, the vectorized commit batches them per target,
+    and the phase-conflict sanitizer classifies the very same objects
+    when it is enabled (sanitized runs buffer every write).
     ``instance`` is the node id for node-shared targets, ``None`` for
     global-shared ones.  ``rows_exact`` marks operations whose ``idx``
     addresses exactly the rows in ``rows`` (no partial-row tuple
@@ -267,10 +275,12 @@ def _normalize_rows(idx: object, n0: int) -> RowSpec:
             )
         return RowSpec.from_array(np.nonzero(arr)[0].astype(np.int64))
     arr = arr.astype(np.int64, copy=False).ravel()
-    if arr.size and (arr.min() < -n0 or arr.max() >= n0):
-        raise IndexError(f"row indices out of range for axis of length {n0}")
-    if arr.size and arr.min() < 0:
-        arr = np.where(arr < 0, arr + n0, arr)
+    if arr.size:
+        lo = arr.min()
+        if lo < -n0 or arr.max() >= n0:
+            raise IndexError(f"row indices out of range for axis of length {n0}")
+        if lo < 0:
+            arr = np.where(arr < 0, arr + n0, arr)
     return RowSpec.from_array(arr)
 
 
@@ -432,6 +442,11 @@ class GlobalShared(_SharedBase):
         # True once a snapshot view of the current buffer was handed
         # out; the next commit then swaps buffers (copy-on-commit).
         self._views_taken = False
+        # Write-through state: the serial of the round whose first
+        # write fixed this target's commit mode, and the copy that round
+        # writes through to (None while it buffers, and between rounds).
+        self._wround = -1
+        self._next: np.ndarray | None = None
         # Read-only alias of the committed buffer: snapshot reads index
         # it so basic-index results are born read-only (children of a
         # non-writeable array are non-writeable) — no per-access
@@ -482,6 +497,35 @@ class GlobalShared(_SharedBase):
         return self._data[lo:hi]
 
     # -- commit protocol -------------------------------------------------
+    def _fresh_buffer(self, retain: bool = False) -> np.ndarray:
+        """A copy of the committed buffer for a copy-on-commit swap,
+        timed and counted in the runtime's copy statistics."""
+        rt = self.runtime
+        shm = rt.shm
+        t0 = perf_counter()
+        if shm is None:
+            data = self._data.copy()
+        else:
+            # Segment swap: workers holding snapshot views keep the
+            # retired segment mapped; they remap to the new name with
+            # their next round command.
+            data = shm.swap(self.name, None, retain=retain)
+        rt.stats_commit_copy_s += perf_counter() - t0
+        rt.stats_commit_copy_bytes += data.nbytes
+        return data
+
+    def _install(self, data: np.ndarray) -> None:
+        """Make ``data`` the committed buffer: rebuild the read-only
+        alias and rebind every node's block in its memory map."""
+        self._data = data
+        self._views_taken = False
+        self._ro = data.view()
+        self._ro.flags.writeable = False
+        name = f"gshared:{self.name}"
+        starts = self._starts.tolist()  # Python ints slice faster
+        for node, lo, hi in zip(self.runtime.cluster, starts, starts[1:]):
+            node.memory.rebind(name, data[lo:hi])
+
     def _commit_target(
         self,
         instance: int | None,
@@ -502,28 +546,34 @@ class GlobalShared(_SharedBase):
         process backend uses both so a pristine pre-commit copy always
         exists to replay a crashed worker's commit from.
         """
-        rt = self.runtime
         if self._views_taken or force:
-            self._views_taken = False
-            shm = rt.shm
-            t0 = perf_counter()
-            if shm is None:
-                self._data = self._data.copy()
-            else:
-                # Segment swap: workers holding snapshot views keep the
-                # retired segment mapped; they remap to the new name
-                # with their next round command.
-                self._data = shm.swap(self.name, None, retain=retain)
-            rt.stats_commit_copy_s += perf_counter() - t0
-            rt.stats_commit_copy_bytes += self._data.nbytes
-            self._ro = self._data.view()
-            self._ro.flags.writeable = False
-            starts = self._starts
-            name = f"gshared:{self.name}"
-            for node in self.runtime.cluster:
-                s, e = starts[node.node_id], starts[node.node_id + 1]
-                node.memory.rebind(name, self._data[s:e])
+            self._install(self._fresh_buffer(retain))
         return self._data
+
+    def _begin_writes(self, phase) -> np.ndarray | None:
+        """Fix this target's commit mode for the round at its first
+        write: write-through when the recorder allows it and a snapshot
+        view is outstanding (copy-on-commit would copy the buffer at
+        the barrier anyway, so the copy is made now and returned),
+        buffered otherwise (None).  The mode holds for the rest of the
+        round, so a view taken after a buffered first write never
+        lets a later op overtake an earlier buffered one."""
+        self._wround = phase.serial
+        wt = phase.write_through
+        if wt is None or not self._views_taken:
+            return None
+        nxt = self._next = self._fresh_buffer()
+        wt.append((self, None))
+        self.runtime.stats_write_through += 1
+        return nxt
+
+    def _end_writes(self, instance: int | None, commit: bool) -> None:
+        """Close a write-through round: swap the written copy in
+        (``commit``) or drop it, leaving the phase-start buffer
+        committed (the round aborted)."""
+        nxt, self._next = self._next, None
+        if commit:
+            self._install(nxt)
 
     # -- access ----------------------------------------------------------
     def __getitem__(self, idx):
@@ -572,12 +622,6 @@ class GlobalShared(_SharedBase):
             return
         if rt.zero_copy_reads:
             rows, n_elem, rows_exact, _vk, cost = self._access_record(idx, self._data)
-            if isinstance(value, np.ndarray):
-                value = np.array(value, dtype=self.dtype, copy=True)
-            rank = ctx.global_rank
-            event = WriteEvent(
-                self, None, "write", None, idx, value, rows, rank, rows_exact
-            )
             # Inlined rt.record_global_write (identical semantics).
             phase = rt.phase
             if phase is None:
@@ -594,6 +638,20 @@ class GlobalShared(_SharedBase):
                 rec = recs[(ctx.node_id, self)] = [[], 0]
             rec[0].append(rows)
             rec[1] += n_elem
+            nxt = self._next
+            if nxt is None and self._wround != phase.serial:
+                nxt = self._begin_writes(phase)
+            if nxt is not None:
+                # Write-through: VPs run in (rank, seq) commit order,
+                # so applying the op now is its commit.
+                nxt[idx] = value
+                return
+            if isinstance(value, np.ndarray):
+                value = np.array(value, dtype=self.dtype, copy=True)
+            event = WriteEvent(
+                self, None, "write", None, idx, value, rows, ctx.global_rank,
+                rows_exact,
+            )
             event.seq = phase._seq = phase._seq + 1
             phase.write_ops.append(event)
             return
@@ -625,12 +683,6 @@ class GlobalShared(_SharedBase):
         if rt.zero_copy_reads:
             spec, _, rows_exact, _vk, _c = self._access_record(rows, self._data)
             n_elem = spec.count * self._trailing
-            if isinstance(values, np.ndarray):
-                values = np.array(values, dtype=self.dtype, copy=True)
-            rank = ctx.global_rank
-            event = WriteEvent(
-                self, None, "accumulate", op, rows, values, spec, rank, rows_exact
-            )
             # Inlined rt.record_global_write (identical semantics).
             phase = rt.phase
             if phase is None:
@@ -647,6 +699,20 @@ class GlobalShared(_SharedBase):
                 rec = recs[(ctx.node_id, self)] = [[], 0]
             rec[0].append(spec)
             rec[1] += n_elem
+            nxt = self._next
+            if nxt is None and self._wround != phase.serial:
+                nxt = self._begin_writes(phase)
+            if nxt is not None:
+                if isinstance(values, np.ndarray) and values.dtype != self.dtype:
+                    values = values.astype(self.dtype)
+                ufunc.at(nxt, rows, values)  # write-through (see __setitem__)
+                return
+            if isinstance(values, np.ndarray):
+                values = np.array(values, dtype=self.dtype, copy=True)
+            event = WriteEvent(
+                self, None, "accumulate", op, rows, values, spec,
+                ctx.global_rank, rows_exact,
+            )
             event.seq = phase._seq = phase._seq + 1
             phase.write_ops.append(event)
             return
@@ -690,6 +756,9 @@ class NodeShared(_SharedBase):
         # Per-instance flag: a snapshot view of the current buffer is
         # (or was) out there; the next commit swaps buffers.
         self._views_taken: list[bool] = []
+        # Per-instance write-through state (see GlobalShared._wround).
+        self._wround: list[int] = [-1] * runtime.cluster.n_nodes
+        self._next: list[np.ndarray | None] = [None] * runtime.cluster.n_nodes
         shm = runtime.shm
         for node in runtime.cluster:
             if shm is not None:
@@ -732,6 +801,30 @@ class NodeShared(_SharedBase):
         return cur.node_id
 
     # -- commit protocol -------------------------------------------------
+    def _fresh_buffer(self, instance: int, retain: bool = False) -> np.ndarray:
+        """Node-level :meth:`GlobalShared._fresh_buffer`."""
+        rt = self.runtime
+        shm = rt.shm
+        t0 = perf_counter()
+        if shm is None:
+            data = self._data[instance].copy()
+        else:
+            data = shm.swap(self.name, instance, retain=retain)
+        rt.stats_commit_copy_s += perf_counter() - t0
+        rt.stats_commit_copy_bytes += data.nbytes
+        return data
+
+    def _install(self, instance: int, data: np.ndarray) -> None:
+        """Node-level :meth:`GlobalShared._install`."""
+        self._data[instance] = data
+        self._views_taken[instance] = False
+        ro = data.view()
+        ro.flags.writeable = False
+        self._ro[instance] = ro
+        self.runtime.cluster.node(instance).memory.rebind(
+            f"nshared:{self.name}", data
+        )
+
     def _commit_target(
         self,
         instance: int | None,
@@ -741,24 +834,27 @@ class NodeShared(_SharedBase):
     ) -> np.ndarray:
         """Node-level copy-on-commit (see
         :meth:`GlobalShared._commit_target`)."""
-        rt = self.runtime
         if self._views_taken[instance] or force:
-            self._views_taken[instance] = False
-            shm = rt.shm
-            t0 = perf_counter()
-            if shm is None:
-                self._data[instance] = self._data[instance].copy()
-            else:
-                self._data[instance] = shm.swap(self.name, instance, retain=retain)
-            rt.stats_commit_copy_s += perf_counter() - t0
-            rt.stats_commit_copy_bytes += self._data[instance].nbytes
-            ro = self._data[instance].view()
-            ro.flags.writeable = False
-            self._ro[instance] = ro
-            self.runtime.cluster.node(instance).memory.rebind(
-                f"nshared:{self.name}", self._data[instance]
-            )
+            self._install(instance, self._fresh_buffer(instance, retain))
         return self._data[instance]
+
+    def _begin_writes(self, phase, instance: int) -> np.ndarray | None:
+        """Per-instance :meth:`GlobalShared._begin_writes`."""
+        self._wround[instance] = phase.serial
+        wt = phase.write_through
+        if wt is None or not self._views_taken[instance]:
+            return None
+        nxt = self._next[instance] = self._fresh_buffer(instance)
+        wt.append((self, instance))
+        self.runtime.stats_write_through += 1
+        return nxt
+
+    def _end_writes(self, instance: int, commit: bool) -> None:
+        """Per-instance :meth:`GlobalShared._end_writes`."""
+        nxt = self._next[instance]
+        self._next[instance] = None
+        if commit:
+            self._install(instance, nxt)
 
     def __getitem__(self, idx):
         rt = self.runtime
@@ -800,18 +896,24 @@ class NodeShared(_SharedBase):
         node = ctx.node_id
         if rt.zero_copy_reads:
             rows, n_elem, rows_exact, _vk, cost = self._access_record(idx, self._data[node])
-            if isinstance(value, np.ndarray):
-                value = np.array(value, dtype=self.dtype, copy=True)
-            rank = ctx.global_rank
-            event = WriteEvent(
-                self, node, "write", None, idx, value, rows, rank, rows_exact
-            )
             # Inlined rt.record_node_write (identical semantics).
             phase = rt.phase
             if phase is None:
                 rt._require_phase()
             ctx._cost += cost
             phase.node_write_elems[node] += n_elem
+            nxt = self._next[node]
+            if nxt is None and self._wround[node] != phase.serial:
+                nxt = self._begin_writes(phase, node)
+            if nxt is not None:
+                nxt[idx] = value  # write-through (see GlobalShared.__setitem__)
+                return
+            if isinstance(value, np.ndarray):
+                value = np.array(value, dtype=self.dtype, copy=True)
+            event = WriteEvent(
+                self, node, "write", None, idx, value, rows, ctx.global_rank,
+                rows_exact,
+            )
             event.seq = phase._seq = phase._seq + 1
             phase.write_ops.append(event)
             return
@@ -839,18 +941,26 @@ class NodeShared(_SharedBase):
         if rt.zero_copy_reads:
             spec, _, rows_exact, _vk, _c = self._access_record(rows, self._data[node])
             n_elem = spec.count * self._trailing
-            if isinstance(values, np.ndarray):
-                values = np.array(values, dtype=self.dtype, copy=True)
-            rank = ctx.global_rank
-            event = WriteEvent(
-                self, node, "accumulate", op, rows, values, spec, rank, rows_exact
-            )
             # Inlined rt.record_node_write (identical semantics).
             phase = rt.phase
             if phase is None:
                 rt._require_phase()
             ctx._cost += rt._access_call + n_elem * rt._node_access_elem
             phase.node_write_elems[node] += n_elem
+            nxt = self._next[node]
+            if nxt is None and self._wround[node] != phase.serial:
+                nxt = self._begin_writes(phase, node)
+            if nxt is not None:
+                if isinstance(values, np.ndarray) and values.dtype != self.dtype:
+                    values = values.astype(self.dtype)
+                ACCUMULATE_UFUNCS[op].at(nxt, rows, values)  # write-through
+                return
+            if isinstance(values, np.ndarray):
+                values = np.array(values, dtype=self.dtype, copy=True)
+            event = WriteEvent(
+                self, node, "accumulate", op, rows, values, spec,
+                ctx.global_rank, rows_exact,
+            )
             event.seq = phase._seq = phase._seq + 1
             phase.write_ops.append(event)
             return
